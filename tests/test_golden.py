@@ -1,0 +1,171 @@
+"""Byte-identity gate: SHA-256 digests of outputs that must never change.
+
+The digests pin ``generate`` output, ``verify --format json`` reports,
+``analyze --format json`` reports (with their bound sheets and
+lexicographically-first agreeability witnesses) and the library tour on a
+slate (restriction, tally, agreement graph, first-fit coloring).  Any
+faster path must reproduce these bytes exactly; a changed digest means a
+changed answer, not a test to update.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from agreeable import (
+    RandomConfig,
+    agreement,
+    agreement_graph,
+    dumps_society,
+    greedy_interval_coloring,
+    linear_society,
+    random_society,
+    restrict_to_candidates,
+)
+from agreeable.cli import main
+
+GENERATE = {
+    "generate-line": ["generate", "random", "--kind", "line", "--n", "40", "--seed", "3", "--empty-percent", "10"],
+    "generate-candidates": [
+        "generate", "random", "--kind", "candidates", "--n", "30", "--seed", "4",
+        "--num-candidates", "9", "--coord-max", "30", "--max-length", "10", "--empty-percent", "5",
+    ],
+    "generate-box2": ["generate", "random", "--kind", "box", "--n", "12", "--seed", "5", "--d", "2"],
+    "generate-box3": ["generate", "random", "--kind", "box", "--n", "10", "--seed", "6", "--d", "3"],
+    "generate-extremal": ["generate", "extremal", "--n", "21", "--k", "4", "--m", "15"],
+}
+
+VERIFY = {
+    "verify-seed-5": ["verify", "--trials", "12", "--seed", "5", "--format", "json"],
+    "verify-seed-11": ["verify", "--trials", "12", "--seed", "11", "--format", "json"],
+}
+
+# (society generator argv, extra analyze flags)
+ANALYZE = {
+    "analyze-candidates": (GENERATE["generate-candidates"], []),
+    "analyze-candidates-km-agreeable": (
+        ["generate", "random", "--kind", "candidates", "--n", "14", "--seed", "2",
+         "--num-candidates", "6", "--coord-max", "20", "--min-length", "8", "--max-length", "16"],
+        ["--k", "2", "--m", "3"],
+    ),
+    "analyze-candidates-km-witness": (
+        ["generate", "random", "--kind", "candidates", "--n", "20", "--seed", "9",
+         "--num-candidates", "10", "--coord-max", "40", "--max-length", "10", "--empty-percent", "5"],
+        ["--k", "3", "--m", "5"],
+    ),
+    "analyze-line-km": (["generate", "random", "--kind", "line", "--n", "18", "--seed", "2"], ["--k", "3", "--m", "6"]),
+}
+
+# (voters, candidates on the slate, seed) for the library tour.
+TOURS = ((100, 10, 1), (280, 28, 2), (500, 50, 3))
+
+
+def _run(argv, capsys) -> bytes:
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return out.encode("utf-8")
+
+
+def _rational_candidate_document() -> str:
+    """A candidate society on p/q coordinates with empty voters and a slate
+    reaching outside every interval; written by hand so that it does not
+    depend on the generators."""
+    rng = random.Random(2024)
+
+    def coord() -> Fraction:
+        return Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4)))
+
+    slate = sorted({coord() for _ in range(14)} | {Fraction(-99), Fraction(99)})
+    intervals = []
+    for _ in range(60):
+        if rng.random() < 0.1:
+            intervals.append(None)
+        else:
+            lo = coord()
+            intervals.append((lo, lo + Fraction(rng.randint(0, 24), rng.choice((1, 2, 3)))))
+    return dumps_society(restrict_to_candidates(linear_society(intervals), slate))
+
+
+def _tour(n: int, c: int, seed: int) -> dict[str, bytes]:
+    gap = 1000 // c
+    config = RandomConfig(coord_min=0, coord_max=1000, min_length=gap, max_length=3 * gap, empty_percent=5)
+    society = random_society("line", n, seed, config)
+    offset = random.Random(seed).randrange(gap)
+    slate = [offset + j * gap for j in range(c + 1)]
+    election = restrict_to_candidates(society, slate)
+    coloring = greedy_interval_coloring(election).assignment
+    return {
+        "restrict": dumps_society(election).encode(),
+        "tally": json.dumps(agreement(election).to_obj(), separators=(",", ":")).encode(),
+        "graph": agreement_graph(election).to_json().encode(),
+        "coloring": json.dumps([coloring[v] for v in election.voter_ids()]).encode(),
+    }
+
+
+GOLDEN = {
+    "generate-line": "f7ec763087d3a0b0fe406765ae3bdf7d04f3dd8ff77ee24d3270bd81fb49acb4",
+    "generate-candidates": "20b97f83a3af8ec16d7d3353888cef87203e9c1e80009348f04a234d08af0131",
+    "generate-box2": "c904a712b41d0040e06466e33527f533db611f4cddd58fdffb486c242c6c470d",
+    "generate-box3": "1942d032fbe7ea221bad35aa2c69ab3e6f36832314f0df73521d23eb342801f2",
+    "generate-extremal": "406257266a698af2fbc31db6f19387a31b0719ddf1c5cc1acc3be3ed9df24cd7",
+    "verify-seed-5": "6568377057478325fc906bb29c5e0418b6963738e59517dd341c0050be3e20a3",
+    "verify-seed-11": "166e2e5aa874de80519d01540b6ea4754ef5dd13ef5078896d49a758356a2bc7",
+    "analyze-candidates": "82c25ab077b66b272bbd639a63a2800a87b2128a937ccda4d8fa3b44f6eb9db3",
+    "analyze-candidates-km-agreeable": "c0a7753af2fbd967d91526a9f14f9fffaee39c786bd5c3e29d417be74bca94be",
+    "analyze-candidates-km-witness": "d42a6106fd68d077e5a32217716248242ef2eead44895a0daebfd6f786358be7",
+    "analyze-line-km": "100243e4f2888713869d5235c4fe86004262a53920625ace045621771af585db",
+    "analyze-rational-candidates": "8c06beb7411707a8d4159c39c395c0fe95645aefcc9dd02491c807d3c2242eff",
+    "analyze-rational-candidates-km": "3a6fcbe9542af0adc8b67669e829cd19b6582106e53cfa0ff548b46bba278e06",
+    "tour-100-restrict": "f9c03752fd516fd6d94f7702f4843c660e15567b9966ec29bd9aadcd859af560",
+    "tour-100-tally": "acd1ea25ff47d52d9a863b6c678e3b36a6bf9abab472a8ee27da6f123353dad7",
+    "tour-100-graph": "724dbd4d1c8b30789a0e666918604e5df6ca3c892c57dffa7ec448173bac4ada",
+    "tour-100-coloring": "d53d5c7af8fcf290abc5c74f1a1ad9e5fa6bbbe1533aefb19baf1d78703660e5",
+    "tour-280-restrict": "86d55d565901d013b676c8fca73e8b6ea819d10405e1245647b15f8dfea23b8b",
+    "tour-280-tally": "5ef241f8ae64fb3f2e9fc8c8e8b895a3f5e344d19af84e7e3ddb97aa79e1624e",
+    "tour-280-graph": "b7974f009688f12c5de8244039e1d57cc51518d0befd0b0a32f4b66b27b05675",
+    "tour-280-coloring": "00625062a3fb18e6317066f63b608c288b654ffbf01739adf0066ce6b8bbd1cc",
+    "tour-500-restrict": "3a46fc45430a7515e95b53e4a82ddc9c5c65a55c051a436d811e834f44004428",
+    "tour-500-tally": "ee741644642c800176feb6335cfb22ce5d28734fc0dafdb7ae75a94e527cd815",
+    "tour-500-graph": "4f44cc1d0a5ef64b7b50fac0ff233352f036c43416b348deb7d14cfd0b01f013",
+    "tour-500-coloring": "529654f86079d02c4097cf65b02754bee38d334f35688c6b1a95672889c123c2",
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATE) + sorted(VERIFY))
+def test_cli_output_digest(name, capsys):
+    argv = GENERATE.get(name) or VERIFY[name]
+    assert _digest(_run(argv, capsys)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE))
+def test_analyze_digest(name, capsys, tmp_path):
+    generate_argv, flags = ANALYZE[name]
+    path = tmp_path / "society.json"
+    path.write_bytes(_run(generate_argv, capsys))
+    out = _run(["analyze", str(path), "--format", "json", *flags], capsys)
+    assert _digest(out) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("flags", [[], ["--k", "3", "--m", "4"]], ids=["plain", "km"])
+def test_analyze_rational_candidates_digest(flags, capsys, tmp_path):
+    path = tmp_path / "society.json"
+    path.write_text(_rational_candidate_document(), encoding="utf-8")
+    out = _run(["analyze", str(path), "--format", "json", *flags], capsys)
+    name = "analyze-rational-candidates" + ("-km" if flags else "")
+    assert _digest(out) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("n,c,seed", TOURS, ids=[f"n{n}" for n, _, _ in TOURS])
+def test_tour_digest(n, c, seed):
+    for part, data in _tour(n, c, seed).items():
+        assert _digest(data) == GOLDEN[f"tour-{n}-{part}"], part
