@@ -4,6 +4,11 @@ The agreement number of a platform is the number of voters approving it;
 the agreement number of a society is the maximum over all platforms of the
 spectrum.  Everything here is exact rational arithmetic.
 
+Costs: the line sweep is O(n log n); the candidate tally bisects each
+voter's interval into the slate and accumulates a difference array,
+O(n log c + c) for c candidates; box depth scans a grid of lower corners,
+O(n^(d+1)), and is capped.
+
 Closed-interval semantics enter the computation in exactly one place: the
 line sweep processes interval starts before interval ends at equal
 coordinates, so touching intervals count as overlapping.
@@ -26,7 +31,8 @@ from .society import (
     Interval,
     LineSpectrum,
     Society,
-    approved_candidates,
+    _candidate_range,
+    _coord_to_json,
     coord_str,
     require_valid,
 )
@@ -61,9 +67,6 @@ class AgreementReport:
         return Fraction(self.agreement_number, self.n)
 
     def to_obj(self) -> dict:
-        def enc(c):
-            return c.numerator if c.denominator == 1 else coord_str(c)
-
         obj: dict = {
             "agreement_number": self.agreement_number,
             "n": self.n,
@@ -72,11 +75,11 @@ class AgreementReport:
         witnesses = []
         for w in self.witnesses:
             if isinstance(w, Interval):
-                witnesses.append([enc(w.lo), enc(w.hi)])
+                witnesses.append([_coord_to_json(w.lo), _coord_to_json(w.hi)])
             elif isinstance(w, tuple):
-                witnesses.append([enc(x) for x in w])
+                witnesses.append([_coord_to_json(x) for x in w])
             else:
-                witnesses.append(enc(w))
+                witnesses.append(_coord_to_json(w))
         obj["witnesses"] = witnesses
         if self.per_candidate is not None:
             obj["per_candidate"] = {coord_str(c): k for c, k in self.per_candidate.items()}
@@ -141,7 +144,8 @@ def _box_grid_axes(boxes: list[Box], dimension: int) -> list[list[Coord]]:
 
 def _box_agreement(society: Society) -> AgreementReport:
     spectrum = society.spectrum
-    assert isinstance(spectrum, BoxSpectrum)
+    if not isinstance(spectrum, BoxSpectrum):
+        raise ValueError("box depth applies to box societies")
     if society.n > MAX_BOX_VOTERS:
         raise CapExceededError(f"box societies are capped at {MAX_BOX_VOTERS} voters, got {society.n}")
     if spectrum.dimension > MAX_BOX_DIMENSION:
@@ -179,11 +183,17 @@ def agreement(society: Society) -> AgreementReport:
         return AgreementReport(best, society.n, witnesses)
 
     if isinstance(spectrum, CandidateSpectrum):
-        tally = {c: 0 for c in spectrum.candidates}
+        # Each voter approves a contiguous run of candidates: +1 at its start,
+        # -1 just past its end; prefix sums give every candidate's tally.
+        cs = spectrum.candidates
+        diff = [0] * (len(cs) + 1)
         for v in society.voters:
             if isinstance(v.approval, Interval):
-                for c in approved_candidates(v.approval, spectrum):
-                    tally[c] += 1
+                span = _candidate_range(v.approval, cs)
+                if span is not None:
+                    diff[span[0]] += 1
+                    diff[span[1]] -= 1
+        tally = dict(zip(cs, itertools.accumulate(diff)))
         best = max(tally.values())
         witnesses = tuple(c for c in spectrum.candidates if tally[c] == best)
         return AgreementReport(best, society.n, witnesses, per_candidate=tally)
@@ -259,7 +269,8 @@ def two_platform_cover(society: Society) -> TwoPlatformCover:
     count_x = sum(1 for v in society.voters if v.approval.contains(x))
     count_y = sum(1 for v in society.voters if v.approval.contains(y))
     cover = TwoPlatformCover(x, y, count_x, count_y)
-    assert cover.best_count >= -(-society.n // 2)
+    if cover.best_count < -(-society.n // 2):
+        raise RuntimeError(f"two-platform cover {cover} reaches fewer than half of {society.n} voters")
     return cover
 
 

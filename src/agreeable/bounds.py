@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .agreeability import AgreeParams, AgreeabilityResult, is_km_agreeable
-from .agreement import agreement
+from .agreement import AgreementReport, agreement
 from .society import BoxSpectrum, Society, coord_str
 
 
@@ -215,15 +215,18 @@ def bound_sheet(
     society: Society,
     params: AgreeParams,
     agreeability: AgreeabilityResult | None = None,
+    report: AgreementReport | None = None,
 ) -> BoundSheet:
     """Evaluate every bound applicable to this society against its
     computed agreement number.
 
-    The agreeability verdict may be passed in to avoid recomputing it.
+    The agreeability verdict and the agreement report may be passed in to
+    avoid recomputing them.
     """
     if params.k < 2:
         raise ValueError("bounds require k >= 2")
-    report = agreement(society)
+    if report is None:
+        report = agreement(society)
     n = report.n
     a = report.agreement_number
     proportion = report.proportion

@@ -37,7 +37,7 @@ from .generators import (
     five_cycle_boxes,
     random_society,
 )
-from .society import Society, dumps_society, loads_society, validate
+from .society import Society, dumps_society, loads_society, require_valid
 from .verify import SUITES, run_suites
 
 
@@ -48,9 +48,7 @@ def _read_society(path: str) -> Society:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
     society = loads_society(text)
-    violations = validate(society)
-    if violations:
-        raise ValueError("invalid society: " + "; ".join(violations))
+    require_valid(society)
     return society
 
 
@@ -83,7 +81,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.k is not None or args.m is not None:
         if args.k is None or args.m is None:
             raise ValueError("provide both --k and --m or neither")
-        sheet = bound_sheet(society, AgreeParams(args.k, args.m))
+        sheet = bound_sheet(society, AgreeParams(args.k, args.m), report=report)
 
     if args.format == "json":
         obj = report.to_obj()
@@ -258,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument(
         "--failure-dir",
-        default=".",
-        help="write failing instances here for replay (default: current directory)",
+        help="write failing instances here for replay (default: write nothing)",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)

@@ -2,8 +2,9 @@
 
 Everything here recomputes graph and society quantities by exhaustive
 enumeration, sharing no logic with the fast paths it is used to validate
-(the sweep, the subset search, the greedy coloring).  Instance-size caps
-are hard errors: an oracle never silently approximates.
+(the sweep, the subset search, the sorted-endpoint graph and coloring).
+Instance-size caps on the exponential searches are hard errors: an oracle
+never silently approximates.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 from .agreeability import AgreeParams, subset_cap
 from .errors import CapExceededError
-from .graphs import Graph
-from .society import Interval, LineSpectrum, Society
+from .graphs import Coloring, Graph
+from .society import Box, CandidateSpectrum, Interval, LineSpectrum, Society
 
 MAX_CLIQUE_VERTICES = 24
 MAX_CHROMATIC_VERTICES = 13
@@ -269,3 +270,63 @@ def brute_agreement_line(society: Society) -> int:
         depth = sum(1 for iv in intervals if iv.contains(p))
         best = max(best, depth)
     return best
+
+
+def _scanned_intervals(society: Society) -> list[Interval | None]:
+    """Per-voter interval representation, candidate hulls found by a linear
+    scan of the slate; None for an empty approval set."""
+    out: list[Interval | None] = []
+    for v in society.voters:
+        iv = v.approval
+        if isinstance(iv, Box):
+            if iv.dimension != 1:
+                raise ValueError("no interval representation for boxes with d >= 2")
+            iv = iv.sides[0]
+        if iv is not None and isinstance(society.spectrum, CandidateSpectrum):
+            inside = [c for c in society.spectrum.candidates if iv.lo <= c <= iv.hi]
+            iv = Interval(inside[0], inside[-1]) if inside else None
+        out.append(iv)
+    return out
+
+
+def brute_interval_graph(society: Society) -> Graph:
+    """Agreement graph of a line, candidate or 1-box society by testing
+    every pair of voters: O(n^2)."""
+    ids = society.voter_ids()
+    reps = _scanned_intervals(society)
+    edges = set()
+    for i, a in enumerate(reps):
+        if a is None:
+            continue
+        for j in range(i + 1, len(reps)):
+            b = reps[j]
+            if b is not None and a.intersect(b) is not None:
+                edges.add((ids[i], ids[j]))
+    return Graph(ids, frozenset(edges))
+
+
+def brute_first_fit_coloring(society: Society) -> Coloring:
+    """First-fit coloring by decreasing right endpoint, testing each voter
+    against every colored voter: O(n^2).
+
+    Same order as the fast path: empty approval sets first (color 1), then
+    decreasing right endpoint with ties in society order.
+    """
+    reps = list(zip(society.voter_ids(), _scanned_intervals(society)))
+    empties = [(vid, iv) for vid, iv in reps if iv is None]
+    filled = [(vid, iv) for vid, iv in reps if iv is not None]
+    order = empties + sorted(filled, key=lambda r: r[1].hi, reverse=True)
+
+    assignment: dict[str, int] = {}
+    colored: list[tuple[str, Interval]] = []
+    for vid, iv in order:
+        if iv is None:
+            assignment[vid] = 1
+            continue
+        used = {assignment[other] for other, other_iv in colored if iv.intersect(other_iv) is not None}
+        color = 1
+        while color in used:
+            color += 1
+        assignment[vid] = color
+        colored.append((vid, iv))
+    return Coloring(assignment)

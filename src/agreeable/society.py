@@ -21,6 +21,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -278,11 +279,30 @@ def require_valid(society: Society) -> None:
         raise ValueError("invalid society: " + "; ".join(violations))
 
 
+def _candidate_range(interval: Interval | None, candidates: tuple[Coord, ...]) -> tuple[int, int] | None:
+    """Index range ``(i, j)`` of the sorted candidates inside a closed interval.
+
+    ``candidates[i:j]`` are exactly the candidates the interval contains;
+    None when it contains none (or is the empty set).  Two bisections:
+    O(log c) comparisons.
+    """
+    if interval is None:
+        return None
+    i = bisect_left(candidates, interval.lo)
+    j = bisect_right(candidates, interval.hi, i)
+    return (i, j) if i < j else None
+
+
+def _candidate_hull(interval: Interval | None, candidates: tuple[Coord, ...]) -> Interval | None:
+    """Minimal closed interval spanning the candidates inside ``interval``."""
+    span = _candidate_range(interval, candidates)
+    return None if span is None else Interval(candidates[span[0]], candidates[span[1] - 1])
+
+
 def approved_candidates(interval: Interval | None, spectrum: CandidateSpectrum) -> tuple[Coord, ...]:
     """The candidates a voter with this interval approves (a contiguous run)."""
-    if interval is None:
-        return ()
-    return tuple(c for c in spectrum.candidates if interval.contains(c))
+    span = _candidate_range(interval, spectrum.candidates)
+    return () if span is None else spectrum.candidates[span[0] : span[1]]
 
 
 def restrict_to_candidates(society: Society, candidates) -> Society:
@@ -291,23 +311,20 @@ def restrict_to_candidates(society: Society, candidates) -> Society:
     Each approval set becomes the candidates inside the voter's interval,
     stored as the minimal closed interval spanning them (its endpoints are
     candidates, so candidate membership is unchanged).  Voters approving no
-    candidate are kept, with empty approval.
+    candidate are kept, with empty approval.  O(c log c + n log c).
     """
     if not isinstance(society.spectrum, LineSpectrum):
         raise ValueError("restriction applies to line societies only")
-    cs = sorted({as_coord(c) for c in candidates})
+    cs = tuple(sorted({as_coord(c) for c in candidates}))
     if not cs:
         raise ValueError("candidate slate is empty")
-    spec = CandidateSpectrum(tuple(cs))
 
     voters = []
     for v in society.voters:
         if v.approval is not None and not isinstance(v.approval, Interval):
             raise ValueError(f"voter {v.id}: line society carries a non-interval approval")
-        approved = approved_candidates(v.approval, spec)
-        approval = Interval(approved[0], approved[-1]) if approved else None
-        voters.append(Voter(v.id, approval))
-    return Society(spec, tuple(voters))
+        voters.append(Voter(v.id, _candidate_hull(v.approval, cs)))
+    return Society(CandidateSpectrum(cs), tuple(voters))
 
 
 def to_box_society(society: Society) -> Society:
@@ -374,9 +391,9 @@ def society_from_obj(obj) -> Society:
     if raw_spec == "line":
         spectrum = LINE
     elif isinstance(raw_spec, dict) and "candidates" in raw_spec:
-        spectrum = CandidateSpectrum(
-            tuple(_coord_from_json(c) for c in raw_spec["candidates"])
-        )
+        if not isinstance(raw_spec["candidates"], list):
+            raise SocietyFormatError("spectrum 'candidates' must be a list")
+        spectrum = CandidateSpectrum(tuple(_coord_from_json(c) for c in raw_spec["candidates"]))
     elif isinstance(raw_spec, dict) and "box" in raw_spec:
         d = raw_spec["box"]
         if not isinstance(d, int) or isinstance(d, bool):

@@ -39,6 +39,8 @@ from .oracles import (
     brute_agreement_line,
     brute_chromatic,
     brute_clique,
+    brute_first_fit_coloring,
+    brute_interval_graph,
     brute_min_vertex_cover,
     check_cover_lemma,
     every_m_subset_has_k_clique,
@@ -194,17 +196,20 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
             graph = agreement_graph(society)
             if any(v.approval is not None for v in society.voters):
                 omega = brute_clique(graph)
-                colors = greedy_interval_coloring(society).num_colors
+                coloring = greedy_interval_coloring(society)
+                colors = coloring.num_colors
+                first_fit = coloring == brute_first_fit_coloring(society)
                 rec.check(
                     "greedy-colors-equal-omega-equal-sweep",
-                    colors == omega == report.agreement_number,
-                    f"{tag} colors={colors} omega={omega} a={report.agreement_number}",
+                    first_fit and colors == omega == report.agreement_number,
+                    f"{tag} colors={colors} omega={omega} a={report.agreement_number} first_fit_oracle={first_fit}",
                     art,
                 )
+            same_graph = graph == brute_interval_graph(society)
             rec.check(
                 "agreement-graph-is-perfect",
-                is_perfect_by_enumeration(graph),
-                tag,
+                same_graph and is_perfect_by_enumeration(graph),
+                f"{tag} pairwise_oracle={same_graph}",
                 art,
             )
 

@@ -1,8 +1,10 @@
 """Hypothesis strategies for societies and small graphs."""
 
+from fractions import Fraction
+
 import hypothesis.strategies as st
 
-from agreeable import Society, LINE, Voter, make_box, make_interval
+from agreeable import CandidateSpectrum, Society, LINE, Voter, make_box, make_interval, to_box_society
 from agreeable.graphs import Graph
 
 coords = st.one_of(
@@ -28,6 +30,29 @@ def line_societies(draw, min_n=1, max_n=10, allow_empty=True):
     approval = st.one_of(st.none(), intervals()) if allow_empty else intervals()
     voters = tuple(Voter(f"v{i + 1}", draw(approval)) for i in range(n))
     return Society(LINE, voters)
+
+
+# Candidate slates: p/q points among the interval endpoints, plus points
+# beyond every interval's reach.
+slates = st.sets(st.one_of(coords, st.integers(-40, 40)), min_size=1, max_size=8).map(
+    lambda cs: sorted(Fraction(c) for c in cs)
+)
+
+
+@st.composite
+def one_d_societies(draw, max_n=10):
+    """Line, candidate or 1-box societies with interval representations.
+
+    Candidate voters keep their raw intervals, so the candidate hulls are
+    computed by the code under test.
+    """
+    society = draw(line_societies(max_n=max_n))
+    kind = draw(st.sampled_from(("line", "candidates", "box")))
+    if kind == "candidates":
+        return Society(CandidateSpectrum(tuple(draw(slates))), society.voters)
+    if kind == "box":
+        return to_box_society(society)
+    return society
 
 
 @st.composite

@@ -54,6 +54,16 @@ def test_analyze_invalid_society(tmp_path, capsys):
     assert "lo > hi" in err
 
 
+@pytest.mark.parametrize("candidates", ["5", '"1,2"', '{"a": 1}', "null"], ids=["int", "string", "object", "null"])
+def test_analyze_rejects_non_list_candidates(tmp_path, capsys, candidates):
+    path = tmp_path / "bad.json"
+    path.write_text('{"spectrum": {"candidates": %s}, "voters": []}' % candidates, encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(path)], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: spectrum 'candidates' must be a list\n"
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run_cli(["analyze", "/nonexistent/file.json"], capsys=capsys)
     assert code == 2
@@ -158,13 +168,24 @@ def test_verify_command_passes(capsys):
 def test_verify_detects_corruption(monkeypatch, capsys, tmp_path):
     import agreeable.verify as verify_mod
 
-    monkeypatch.chdir(tmp_path)  # failing instances land in cwd by default
     monkeypatch.setattr(verify_mod, "proportion_bound", lambda p: 2)
-    code, out, _ = run_cli(["verify", "--suite", "linear", "--trials", "20", "--seed", "1"], capsys=capsys)
+    argv = ["verify", "--suite", "linear", "--trials", "20", "--seed", "1", "--failure-dir", str(tmp_path)]
+    code, out, _ = run_cli(argv, capsys=capsys)
     assert code == 1
     assert "FAIL" in out
     assert "violation:" in out
     assert list(tmp_path.glob("linear_*.json"))
+
+
+def test_verify_writes_nothing_without_failure_dir(monkeypatch, capsys, tmp_path):
+    import agreeable.verify as verify_mod
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify_mod, "proportion_bound", lambda p: 2)
+    code, out, _ = run_cli(["verify", "--suite", "linear", "--trials", "20", "--seed", "1"], capsys=capsys)
+    assert code == 1
+    assert "violation:" in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_json_format(capsys):

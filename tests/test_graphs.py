@@ -13,12 +13,14 @@ from agreeable import (
     five_cycle_boxes,
     greedy_interval_coloring,
     linear_society,
+    random_society,
     restrict_to_candidates,
 )
+from agreeable.generators import RandomConfig
 from agreeable.graphs import Graph, graph_from_edges
-from agreeable.oracles import brute_clique
+from agreeable.oracles import brute_clique, brute_first_fit_coloring, brute_interval_graph
 
-from strategies import line_societies
+from strategies import line_societies, one_d_societies
 
 
 def test_seven_voter_graph(seven_voter_society):
@@ -146,3 +148,26 @@ def test_clique_number_matches_brute_force(society):
     assert clique_number_linear(society) == agreement(society).agreement_number
     if any(v.approval is not None for v in society.voters):
         assert clique_number_linear(society) == brute_clique(agreement_graph(society))
+
+
+def _assert_matches_oracles(society):
+    assert agreement_graph(society) == brute_interval_graph(society)
+    fast = greedy_interval_coloring(society).assignment
+    # Same colors, assigned in the same order.
+    assert list(fast.items()) == list(brute_first_fit_coloring(society).assignment.items())
+
+
+@given(one_d_societies(max_n=12))
+@settings(max_examples=200)
+def test_graph_and_coloring_match_pairwise_oracles(society):
+    _assert_matches_oracles(society)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_large_graph_and_coloring_match_pairwise_oracles(seed):
+    # Long, heavily overlapping intervals on few coordinates: many ties and
+    # colors freed and reused many times over.
+    config = RandomConfig(coord_min=0, coord_max=60, min_length=0, max_length=20, empty_percent=10)
+    society = random_society("line", 150, seed, config)
+    _assert_matches_oracles(society)
+    _assert_matches_oracles(restrict_to_candidates(society, range(-5, 90, 7)))

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from agreeable import (
     BoxSpectrum,
+    agreement,
     CandidateSpectrum,
     Interval,
     LINE,
@@ -27,7 +28,7 @@ from agreeable import (
 )
 from agreeable.society import approved_candidates, as_coord, coord_str
 
-from strategies import line_societies, box_societies
+from strategies import line_societies, box_societies, slates
 
 
 def test_validate_accepts_well_formed(seven_voter_society):
@@ -126,6 +127,24 @@ def test_restrict_monotone_in_slate(society, slate):
         approved_small = set(approved_candidates(vs.approval, small.spectrum))
         approved_large = set(approved_candidates(vl.approval, large.spectrum))
         assert approved_small <= approved_large
+
+
+@given(line_societies(max_n=10), slates)
+def test_restriction_and_tally_match_linear_scan(society, slate):
+    restricted = restrict_to_candidates(society, slate)
+    spectrum = restricted.spectrum
+    assert spectrum.candidates == tuple(slate)
+    for v, r in zip(society.voters, restricted.voters):
+        inside = tuple(c for c in slate if v.approval is not None and v.approval.lo <= c <= v.approval.hi)
+        assert approved_candidates(v.approval, spectrum) == inside
+        assert r.approval == (Interval(inside[0], inside[-1]) if inside else None)
+    expected = [
+        (c, sum(1 for v in society.voters if v.approval is not None and v.approval.lo <= c <= v.approval.hi))
+        for c in slate
+    ]
+    # The tally is the same on the hulls and on the raw intervals.
+    for election in (restricted, Society(spectrum, society.voters)):
+        assert list(agreement(election).per_candidate.items()) == expected
 
 
 def test_json_round_trip_line(seven_voter_society):
