@@ -16,13 +16,13 @@ import heapq
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .society import (
     Box,
     BoxSpectrum,
     CandidateSpectrum,
+    Coord,
     Interval,
     Society,
     _candidate_hull,
@@ -214,7 +214,7 @@ def greedy_interval_coloring(society: Society) -> Coloring:
     # active intervals all contain the current right endpoint, hold distinct
     # colors, and are exactly the current voter's colored neighbors.
     assignment: dict[str, int] = {}
-    active: list[tuple[Fraction, int]] = []  # (-lo, color): a max-heap on lo
+    active: list[tuple[Coord, int]] = []  # (-lo, color): a max-heap on lo
     free: list[int] = []
     used = 0
     for vid, iv in order:

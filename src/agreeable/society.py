@@ -284,7 +284,8 @@ def _candidate_range(interval: Interval | None, candidates: tuple[Coord, ...]) -
 
     ``candidates[i:j]`` are exactly the candidates the interval contains;
     None when it contains none (or is the empty set).  Two bisections:
-    O(log c) comparisons.
+    O(log c) comparisons, so the candidates must be strictly increasing, as
+    :func:`validate` requires of a candidate spectrum.
     """
     if interval is None:
         return None
