@@ -7,13 +7,13 @@ import hypothesis.strategies as st
 
 from agreeable import (
     BoxSpectrum,
-    agreement,
     CandidateSpectrum,
     Interval,
     LINE,
     Society,
     SocietyFormatError,
     Voter,
+    agreement,
     box_society,
     dumps_society,
     linear_society,
