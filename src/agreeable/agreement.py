@@ -4,8 +4,12 @@ The agreement number of a platform is the number of voters approving it;
 the agreement number of a society is the maximum over all platforms of the
 spectrum.  Everything here is exact rational arithmetic.
 
-Costs: the line sweep is O(n log n); the candidate tally bisects each
-voter's interval into the slate and accumulates a difference array,
+Costs: the line sweep is O(n log n) comparisons of plain ints.  Each
+endpoint p/q becomes the integer key (p << s) // q, with s = 2b + 1 for the
+largest denominator bit length b: distinct endpoints differ by more than
+2**-2b, so the keys order them exactly and no Fraction is hashed or
+compared while counting, sorting and merging.  The candidate tally bisects
+each voter's interval into the slate and accumulates a difference array,
 O(n log c + c) for c candidates; box depth scans a grid of lower corners,
 O(n^(d+1)), and is capped.
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -90,6 +95,19 @@ def _line_intervals(society: Society) -> list[Interval]:
     return [v.approval for v in society.voters if isinstance(v.approval, Interval)]
 
 
+def _order_keys(values: list[Coord]) -> list[int]:
+    """Exact integer order keys: ``keys[i] < keys[j]`` iff ``values[i] < values[j]``.
+
+    Let b be the largest denominator bit length among ``values`` and
+    s = 2b + 1; the key of x = p/q is floor(x * 2**s) = (p << s) // q.  Two
+    distinct values differ by at least 1/(q q') > 2**-2b, so their scaled
+    values differ by more than 2 and their floors keep their order: the map
+    is strictly monotone, hence injective, and equal values get equal keys.
+    """
+    shift = 2 * max(x.denominator for x in values).bit_length() + 1
+    return [(x.numerator << shift) // x.denominator for x in values]
+
+
 def _sweep(intervals: list[Interval]) -> tuple[int, tuple[Interval, ...]]:
     """Endpoint sweep over closed intervals.
 
@@ -100,42 +118,43 @@ def _sweep(intervals: list[Interval]) -> tuple[int, tuple[Interval, ...]]:
     depth on the open gap to the next coordinate is the count after ends.
     Any interval covering an open gap contains both its endpoints, so gaps
     at maximal depth always bridge two optimal event points.
+
+    Counting, sorting and merging run on :func:`_order_keys`, plain ints;
+    only the witnesses' endpoints are mapped back to their Fractions.
     """
     if not intervals:
         return 0, ()
 
-    starts: dict[Coord, int] = {}
-    ends: dict[Coord, int] = {}
-    for iv in intervals:
-        starts[iv.lo] = starts.get(iv.lo, 0) + 1
-        ends[iv.hi] = ends.get(iv.hi, 0) + 1
-    coords = sorted(set(starts) | set(ends))
+    n = len(intervals)
+    endpoints = [iv.lo for iv in intervals] + [iv.hi for iv in intervals]
+    keys = _order_keys(endpoints)
+    starts = Counter(keys[:n])
+    ends = Counter(keys[n:])
+    coords = sorted(starts.keys() | ends.keys())
 
-    best = 0
+    best = count = 0
+    for x in coords:
+        count += starts.get(x, 0)
+        if count > best:
+            best = count
+        count -= ends.get(x, 0)
+
+    # A maximal optimal interval opens at an event point of depth ``best``
+    # and closes at the first event point after which the depth drops.
+    runs: list[tuple[int, int]] = []
+    opened = None
     count = 0
     for x in coords:
         count += starts.get(x, 0)
-        best = max(best, count)
+        if opened is None and count == best:
+            opened = x
         count -= ends.get(x, 0)
+        if opened is not None and count < best:
+            runs.append((opened, x))
+            opened = None
 
-    pieces: list[Interval] = []
-    count = 0
-    for i, x in enumerate(coords):
-        count += starts.get(x, 0)
-        at_point = count
-        count -= ends.get(x, 0)
-        if at_point == best:
-            pieces.append(Interval(x, x))
-        if count == best and i + 1 < len(coords):
-            pieces.append(Interval(x, coords[i + 1]))
-
-    merged: list[Interval] = []
-    for piece in pieces:
-        if merged and piece.lo <= merged[-1].hi:
-            merged[-1] = Interval(merged[-1].lo, max(merged[-1].hi, piece.hi))
-        else:
-            merged.append(piece)
-    return best, tuple(merged)
+    coord_of = dict(zip(keys, endpoints))
+    return best, tuple(Interval(coord_of[lo], coord_of[hi]) for lo, hi in runs)
 
 
 def _box_grid_axes(boxes: list[Box], dimension: int) -> list[list[Coord]]:

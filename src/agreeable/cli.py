@@ -7,6 +7,9 @@ or stdout, so generators pipe straight into analysis.
 
 Exit codes: 0 success, 1 property violation (``verify`` only), 2 usage or
 data error.
+
+Each command imports only the modules it runs, so ``analyze --format json``
+loads the society loader and the sweep and nothing else.
 """
 
 from __future__ import annotations
@@ -14,34 +17,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .agreeability import AgreeParams, is_km_agreeable
-from .agreement import agreement
-from .bounds import (
-    BoundSheet,
-    bound_sheet,
-    clique_bound,
-    coord_str,
-    decimal_str,
-    division,
-    fractional_helly_bound,
-    proportion_bound,
-    small_m_bound,
-)
 from .errors import CapExceededError
-from .generators import (
-    RandomConfig,
-    clique_plus_isolated,
-    disjoint_cliques,
-    extremal_linear,
-    five_cycle_boxes,
-    random_society,
-)
-from .society import Society, dumps_society, loads_society, require_valid
-from .verify import SUITES, run_suites
+
+if TYPE_CHECKING:
+    from .bounds import BoundSheet
+    from .society import Society
+
+# The names of verify.SUITES, spelled out so that building the parser does
+# not import the suites; tests/test_cli.py checks the two agree.
+SUITE_CHOICES = ("all", "linear", "box", "graph")
 
 
 def _read_society(path: str) -> Society:
+    from .society import loads_society, require_valid
+
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -75,12 +66,17 @@ def _print_sheet_text(sheet: BoundSheet) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .agreement import agreement
+
     society = _read_society(args.society)
     report = agreement(society)
     sheet = None
     if args.k is not None or args.m is not None:
         if args.k is None or args.m is None:
             raise ValueError("provide both --k and --m or neither")
+        from .agreeability import AgreeParams
+        from .bounds import bound_sheet
+
         sheet = bound_sheet(society, AgreeParams(args.k, args.m), report=report)
 
     if args.format == "json":
@@ -89,6 +85,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             obj["bound_sheet"] = sheet.to_obj()
         print(json.dumps(obj, separators=(",", ":")))
     else:
+        from .bounds import decimal_str
+        from .society import coord_str
+
         print(f"voters: {report.n}")
         print(f"agreement number: {report.agreement_number}")
         print(
@@ -108,6 +107,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .agreeability import AgreeParams, is_km_agreeable
+
     society = _read_society(args.society)
     result = is_km_agreeable(society, AgreeParams(args.k, args.m))
     if args.format == "json":
@@ -126,6 +127,17 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .agreeability import AgreeParams
+    from .bounds import (
+        clique_bound,
+        coord_str,
+        decimal_str,
+        division,
+        fractional_helly_bound,
+        proportion_bound,
+        small_m_bound,
+    )
+
     params = AgreeParams(args.k, args.m)
     obj: dict = {"k": args.k, "m": args.m}
     div = division(params)
@@ -154,6 +166,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .agreeability import AgreeParams
+    from .generators import (
+        RandomConfig,
+        clique_plus_isolated,
+        disjoint_cliques,
+        extremal_linear,
+        five_cycle_boxes,
+        random_society,
+    )
+    from .society import dumps_society
+
     if args.generator == "extremal":
         society = extremal_linear(args.n, AgreeParams(args.k, args.m))
     elif args.generator == "clique-isolated":
@@ -178,6 +201,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suites
+
     report = run_suites(args.suite, args.trials, args.seed, args.failure_dir)
     if args.format == "json":
         print(json.dumps(report.to_obj(), separators=(",", ":")))
@@ -251,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="run the seeded property suites")
-    p.add_argument("--suite", choices=("all",) + SUITES, default="all")
+    p.add_argument("--suite", choices=SUITE_CHOICES, default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument(

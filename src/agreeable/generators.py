@@ -151,6 +151,10 @@ def random_society(kind: str, n: int, seed: int, config: RandomConfig = RandomCo
         raise ValueError("a society needs at least one voter")
     if kind not in ("line", "candidates", "box"):
         raise ValueError(f"unknown society kind {kind!r}")
+    if kind == "box" and config.dimension < 1:
+        raise ValueError(f"box societies need dimension >= 1, got {config.dimension}")
+    if kind == "candidates" and config.num_candidates < 1:
+        raise ValueError(f"candidate societies need at least one candidate, got {config.num_candidates}")
     rng = random.Random(seed)
 
     spectrum = LINE

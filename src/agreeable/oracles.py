@@ -1,10 +1,11 @@
 """Independent brute-force references for the property suites.
 
 Everything here recomputes graph and society quantities by exhaustive
-enumeration, sharing no logic with the fast paths it is used to validate
-(the sweep, the subset search, the sorted-endpoint graph and coloring).
-Instance-size caps on the exponential searches are hard errors: an oracle
-never silently approximates.
+enumeration on Fractions, sharing no logic with the fast paths it is used
+to validate (the sweep and its integer order keys, the subset search, the
+sorted-endpoint graph and coloring).  Instance-size caps on the
+exponential searches are hard errors: an oracle never silently
+approximates.
 """
 
 from __future__ import annotations
@@ -270,6 +271,46 @@ def brute_agreement_line(society: Society) -> int:
         depth = sum(1 for iv in intervals if iv.contains(p))
         best = max(best, depth)
     return best
+
+
+def brute_line_witnesses(society: Society) -> tuple[Interval, ...]:
+    """Maximal closed intervals of maximum depth in a line society.
+
+    Scores every distinct endpoint and the midpoint of every gap between
+    consecutive endpoints by counting the intervals containing it, then
+    merges each maximal run of optimal points and gaps into one interval.
+    Depth is constant on each open gap, so these points see every depth on
+    the line.  Fractions only, O(n^2); kept independent of the sweep it
+    cross-checks.  Empty when no voter approves anything.
+    """
+    if not isinstance(society.spectrum, LineSpectrum):
+        raise ValueError("brute_line_witnesses applies to line societies")
+    intervals = [v.approval for v in society.voters if isinstance(v.approval, Interval)]
+    points = sorted({iv.lo for iv in intervals} | {iv.hi for iv in intervals})
+
+    def depth(p) -> int:
+        return sum(1 for iv in intervals if iv.contains(p))
+
+    # Alternating pieces: point 0, gap (0, 1), point 1, ...; a gap's closure
+    # is its two endpoints.
+    pieces = []
+    for i, p in enumerate(points):
+        pieces.append((depth(p), p, p))
+        if i + 1 < len(points):
+            pieces.append((depth((p + points[i + 1]) / 2), p, points[i + 1]))
+    best = max((d for d, _, _ in pieces), default=0)
+    if best == 0:
+        return ()
+
+    runs: list[Interval] = []
+    previous_optimal = False
+    for d, lo, hi in pieces:
+        if d == best and previous_optimal:
+            runs[-1] = Interval(runs[-1].lo, hi)
+        elif d == best:
+            runs.append(Interval(lo, hi))
+        previous_optimal = d == best
+    return tuple(runs)
 
 
 def _scanned_intervals(society: Society) -> list[Interval | None]:

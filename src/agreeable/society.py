@@ -21,10 +21,12 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import cached_property
 from typing import IO, Union
 
 Coord = Fraction
@@ -170,6 +172,15 @@ class Society:
     def n(self) -> int:
         return len(self.voters)
 
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """:func:`validate`'s findings, computed on first use.
+
+        A society is immutable, so the entry points that require a valid
+        society (:func:`require_valid`) share this one check.
+        """
+        return tuple(validate(self))
+
     def voter_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.voters)
 
@@ -273,8 +284,12 @@ def validate(society: Society) -> list[str]:
 
 
 def require_valid(society: Society) -> None:
-    """Raise ValueError listing all violations if the society is malformed."""
-    violations = validate(society)
+    """Raise ValueError listing all violations if the society is malformed.
+
+    Reads :attr:`Society.violations`, so a society is validated once however
+    many entry points it passes through.
+    """
+    violations = society.violations
     if violations:
         raise ValueError("invalid society: " + "; ".join(violations))
 
@@ -355,16 +370,56 @@ class SocietyFormatError(ValueError):
     """Raised when a society document does not match the JSON contract."""
 
 
-def _coord_from_json(value) -> Coord:
+def _exact_decimal(literal: str) -> Coord:
+    """Exact value of a decimal literal such as ``12.25`` or ``5e-3``.
+
+    The value is an integer times a power of ten.  The literal is refused
+    when that integer, or the power of ten a negative exponent divides by,
+    would have more digits than ``sys.get_int_max_str_digits()`` allows
+    (Python's own bound on decimal integer strings; 0 means no bound).  The
+    check comes before either is built: ``1e1000000000`` would otherwise
+    expand to a billion-digit integer.
+    """
+    try:
+        number = Decimal(literal)
+    except InvalidOperation:
+        raise SocietyFormatError(f"bad number {literal!r}") from None
+    _, digits, exponent = number.as_tuple()
+    limit = sys.get_int_max_str_digits()
+    if limit and max(len(digits) + max(exponent, 0), 1 - min(exponent, 0)) > limit:
+        shown = literal if len(literal) <= 40 else literal[:37] + "..."
+        raise SocietyFormatError(f"number {shown} expands to more than {limit} digits")
+    return Fraction(number)
+
+
+def _coord_from_string(text: str) -> Coord:
+    if "e" in text or "E" in text:
+        return _exact_decimal(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SocietyFormatError(f"bad coordinate string {text!r}: {exc}") from exc
+
+
+def _coord_from_json(value, interned: dict) -> Coord:
+    """The coordinate a JSON token stands for.
+
+    A token is an int, a ``"p/q"`` or decimal string, or a JSON number with
+    a fraction or exponent, which :func:`_parse_exact` has already made a
+    Fraction.  ``interned`` maps each int and string token seen so far in
+    the document to its coordinate, so a repeated token is converted once
+    and the voters holding it share one Fraction.
+    """
+    # Before the lookup: True == 1 and hash(True) == hash(1).
     if isinstance(value, bool):
         raise SocietyFormatError(f"coordinate {value!r} is not a number")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SocietyFormatError(f"bad coordinate string {value!r}: {exc}") from exc
+    if isinstance(value, (int, str)):
+        coord = interned.get(value)
+        if coord is None:
+            coord = interned[value] = Fraction(value) if isinstance(value, int) else _coord_from_string(value)
+        return coord
+    if isinstance(value, Fraction):
+        return value
     raise SocietyFormatError(f"coordinate {value!r} is not a number or 'p/q' string")
 
 
@@ -372,12 +427,13 @@ def _coord_to_json(c: Coord):
     return c.numerator if c.denominator == 1 else coord_str(c)
 
 
-def _interval_from_json(value, where: str) -> Interval | None:
+def _interval_from_json(value, interned: dict, voter: int, axis: int | None = None) -> Interval | None:
     if value is None:
         return None
     if not isinstance(value, list) or len(value) != 2:
+        where = f"voters[{voter}]" if axis is None else f"voters[{voter}] axis {axis}"
         raise SocietyFormatError(f"{where}: interval must be [lo, hi] or null")
-    return Interval(_coord_from_json(value[0]), _coord_from_json(value[1]))
+    return Interval(_coord_from_json(value[0], interned), _coord_from_json(value[1], interned))
 
 
 def society_from_obj(obj) -> Society:
@@ -387,6 +443,7 @@ def society_from_obj(obj) -> Society:
     if "spectrum" not in obj or "voters" not in obj:
         raise SocietyFormatError("missing 'spectrum' or 'voters'")
 
+    interned: dict = {}
     raw_spec = obj["spectrum"]
     spectrum: Spectrum
     if raw_spec == "line":
@@ -394,7 +451,7 @@ def society_from_obj(obj) -> Society:
     elif isinstance(raw_spec, dict) and "candidates" in raw_spec:
         if not isinstance(raw_spec["candidates"], list):
             raise SocietyFormatError("spectrum 'candidates' must be a list")
-        spectrum = CandidateSpectrum(tuple(_coord_from_json(c) for c in raw_spec["candidates"]))
+        spectrum = CandidateSpectrum(tuple(_coord_from_json(c, interned) for c in raw_spec["candidates"]))
     elif isinstance(raw_spec, dict) and "box" in raw_spec:
         d = raw_spec["box"]
         if not isinstance(d, int) or isinstance(d, bool):
@@ -407,29 +464,26 @@ def society_from_obj(obj) -> Society:
         raise SocietyFormatError("'voters' must be a list")
     voters = []
     for i, raw in enumerate(obj["voters"]):
-        where = f"voters[{i}]"
         if not isinstance(raw, dict) or "id" not in raw:
-            raise SocietyFormatError(f"{where}: each voter needs an 'id'")
+            raise SocietyFormatError(f"voters[{i}]: each voter needs an 'id'")
         vid = raw["id"]
         if not isinstance(vid, str):
-            raise SocietyFormatError(f"{where}: id must be a string")
+            raise SocietyFormatError(f"voters[{i}]: id must be a string")
         if "interval" in raw:
-            approval: Approval = _interval_from_json(raw["interval"], where)
+            approval: Approval = _interval_from_json(raw["interval"], interned, i)
         elif "box" in raw:
             rawbox = raw["box"]
             if rawbox is None:
                 approval = None
             elif isinstance(rawbox, list):
-                sides = tuple(
-                    _interval_from_json(s, f"{where} axis {a}") for a, s in enumerate(rawbox)
-                )
+                sides = tuple(_interval_from_json(s, interned, i, a) for a, s in enumerate(rawbox))
                 if any(s is None for s in sides):
-                    raise SocietyFormatError(f"{where}: box sides may not be null")
+                    raise SocietyFormatError(f"voters[{i}]: box sides may not be null")
                 approval = Box(sides)  # type: ignore[arg-type]
             else:
-                raise SocietyFormatError(f"{where}: box must be a list of sides or null")
+                raise SocietyFormatError(f"voters[{i}]: box must be a list of sides or null")
         else:
-            raise SocietyFormatError(f"{where}: voter needs 'interval' or 'box'")
+            raise SocietyFormatError(f"voters[{i}]: voter needs 'interval' or 'box'")
         voters.append(Voter(vid, approval))
 
     return Society(spectrum, tuple(voters))
@@ -462,8 +516,17 @@ def society_to_obj(society: Society) -> dict:
 
 
 def _parse_exact(text: str):
-    # Parse JSON with float literals captured as exact decimals.
-    return json.loads(text, parse_float=lambda s: Fraction(Decimal(s)))
+    # JSON numbers with a fraction or exponent become exact rationals, never
+    # binary floats; each distinct literal is converted once.
+    decimals: dict[str, Coord] = {}
+
+    def exact(literal: str) -> Coord:
+        coord = decimals.get(literal)
+        if coord is None:
+            coord = decimals[literal] = _exact_decimal(literal)
+        return coord
+
+    return json.loads(text, parse_float=exact)
 
 
 def loads_society(text: str) -> Society:

@@ -41,6 +41,7 @@ from .oracles import (
     brute_clique,
     brute_first_fit_coloring,
     brute_interval_graph,
+    brute_line_witnesses,
     brute_min_vertex_cover,
     check_cover_lemma,
     every_m_subset_has_k_clique,
@@ -130,10 +131,13 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
         rec.check("generated-societies-validate", not validate(society), tag, art)
 
         report = agreement(society)
+        oracle_best = brute_agreement_line(society)
+        oracle_witnesses = brute_line_witnesses(society)
         rec.check(
             "sweep-matches-endpoint-oracle",
-            report.agreement_number == brute_agreement_line(society),
-            f"{tag} sweep={report.agreement_number} oracle={brute_agreement_line(society)}",
+            report.agreement_number == oracle_best and report.witnesses == oracle_witnesses,
+            f"{tag} sweep={report.agreement_number} oracle={oracle_best}"
+            f" witnesses={[str(w) for w in report.witnesses]} oracle_witnesses={[str(w) for w in oracle_witnesses]}",
             art,
         )
         for w in report.witnesses:
@@ -469,6 +473,8 @@ def run_suites(
 ) -> VerifyReport:
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from all, {', '.join(SUITES)}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     results: list[PropertyResult] = []
     if suite in ("all", "linear"):
         results += run_linear_suite(trials, seed, failure_dir)

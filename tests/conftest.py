@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from agreeable import candidate_society, linear_society
@@ -24,3 +26,13 @@ def consensus_candidate_society():
         [2, 4, 6, 8],
         [(2, 8), (4, 8), (5, 9), (6, 6), (3, 7), (6, 10)],
     )
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """Python's default bound on decimal integer strings (4300 digits),
+    whatever the environment sets."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from agreeable import CandidateSpectrum, Society, LINE, Voter, make_box, make_interval, to_box_society
+from agreeable import CandidateSpectrum, Interval, Society, LINE, Voter, make_box, make_interval, to_box_society
 from agreeable.graphs import Graph
 
 coords = st.one_of(
@@ -30,6 +30,48 @@ def line_societies(draw, min_n=1, max_n=10, allow_empty=True):
     approval = st.one_of(st.none(), intervals()) if allow_empty else intervals()
     voters = tuple(Voter(f"v{i + 1}", draw(approval)) for i in range(n))
     return Society(LINE, voters)
+
+
+@st.composite
+def farey_neighbours(draw):
+    """Fractions a/b < c/d with bc - ad = 1, so they differ by only 1/(bd).
+
+    Found by descending the Stern-Brocot tree, whose two bounds are Farey
+    neighbours at every step; 100 steps reach denominators near 10**20.
+    """
+    (a, b), (c, d) = (0, 1), (1, 1)
+    for go_right in draw(st.lists(st.booleans(), max_size=100)):
+        if go_right:
+            a, b = a + c, b + d
+        else:
+            c, d = a + c, b + d
+    shift = draw(st.integers(-5, 5))
+    return Fraction(a, b) + shift, Fraction(c, d) + shift
+
+
+huge_denominator_coords = st.builds(Fraction, st.integers(-(10**41), 10**41), st.integers(1, 10**40))
+
+
+@st.composite
+def crowded_line_societies(draw, max_n=10):
+    """Line societies whose endpoints come from a few nearly equal rationals.
+
+    The pool holds a pair of Farey neighbours and their midpoint,
+    coordinates with denominators up to 10**40 and small p/q, negatives
+    included; endpoints repeat, so intervals touch, nest and degenerate to
+    points.  Voters are empty one time in six, so all-empty societies occur.
+    """
+    left, right = draw(farey_neighbours())
+    pool = [left, right, (left + right) / 2]
+    pool += draw(st.lists(st.one_of(coords, huge_denominator_coords), min_size=1, max_size=4))
+    voters = []
+    for i in range(draw(st.integers(1, max_n))):
+        if draw(st.integers(0, 5)) == 0:
+            voters.append(Voter(f"v{i + 1}", None))
+            continue
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        voters.append(Voter(f"v{i + 1}", Interval(min(a, b), max(a, b))))
+    return Society(LINE, tuple(voters))
 
 
 # Candidate slates: p/q points among the interval endpoints, plus points

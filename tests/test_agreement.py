@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from agreeable import (
     AgreeParams,
@@ -19,9 +20,17 @@ from agreeable import (
     to_box_society,
     two_platform_cover,
 )
-from agreeable.oracles import brute_agreement_line
+from agreeable.agreement import _order_keys
+from agreeable.oracles import brute_agreement_line, brute_line_witnesses
 
-from strategies import box_societies, line_societies
+from strategies import (
+    box_societies,
+    coords,
+    crowded_line_societies,
+    farey_neighbours,
+    huge_denominator_coords,
+    line_societies,
+)
 
 
 def test_seven_voter_agreement(seven_voter_society):
@@ -50,9 +59,11 @@ def test_touching_intervals_overlap():
 
 
 def test_all_empty_society():
-    report = agreement(linear_society([None, None]))
+    society = linear_society([None, None])
+    report = agreement(society)
     assert report.agreement_number == 0
     assert report.witnesses == ()
+    assert brute_line_witnesses(society) == ()
 
 
 def test_witness_regions_merge():
@@ -72,7 +83,64 @@ def test_witness_covers_plateau():
 @given(line_societies(max_n=12))
 @settings(max_examples=150)
 def test_sweep_matches_endpoint_oracle(society):
-    assert agreement(society).agreement_number == brute_agreement_line(society)
+    report = agreement(society)
+    assert report.agreement_number == brute_agreement_line(society)
+    assert report.witnesses == brute_line_witnesses(society)
+
+
+@given(crowded_line_societies())
+@settings(max_examples=300)
+def test_sweep_report_matches_witness_oracle_on_crowded_rationals(society):
+    report = agreement(society)
+    assert report.agreement_number == brute_agreement_line(society)
+    assert report.witnesses == brute_line_witnesses(society)
+
+
+def test_sweep_separates_farey_neighbours_with_huge_denominators():
+    # 1/b and 1/(b-1) are Farey neighbours, 1/(b(b-1)) apart; depth 2 on
+    # either side of the gap between them and 1 inside it.
+    b = 10**40
+    left, right = Fraction(1, b), Fraction(1, b - 1)
+    society = linear_society([(-1, left), (right, 1), (-1, 1)])
+    report = agreement(society)
+    assert report.agreement_number == 2
+    assert report.witnesses == (make_interval(-1, left), make_interval(right, 1))
+    assert report.witnesses == brute_line_witnesses(society)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_order_keys_of_integers_are_scaled_integers():
+    assert _order_keys([Fraction(-2), Fraction(0), Fraction(5)]) == [-16, 0, 40]
+
+
+def test_order_keys_examples():
+    values = [
+        Fraction(1, 10**40),
+        Fraction(1, 10**40 + 1),
+        Fraction(-1, 10**40),
+        Fraction(-1, 10**40 + 1),
+        Fraction(0),
+        Fraction(1, 3),
+        Fraction(1, 3),
+        Fraction(-7, 2),
+    ]
+    keys = _order_keys(values)
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    assert sorted(range(len(keys)), key=lambda i: keys[i]) == order
+    assert keys[5] == keys[6]
+    assert len(set(keys)) == len(set(values))
+
+
+@given(farey_neighbours(), st.lists(st.one_of(coords, huge_denominator_coords), max_size=6))
+def test_order_keys_preserve_order_and_equality(pair, others):
+    values = [*pair, (pair[0] + pair[1]) / 2, *others]
+    keys = _order_keys(values)
+    for i, x in enumerate(values):
+        for j, y in enumerate(values):
+            assert _sign(keys[i] - keys[j]) == _sign(x - y)
 
 
 @given(line_societies(max_n=10))

@@ -2,11 +2,13 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from agreeable import dumps_society, five_cycle_boxes, save_society
-from agreeable.cli import main
+from agreeable import dumps_society, five_cycle_boxes, loads_society, save_society
+from agreeable.cli import SUITE_CHOICES, main
+from agreeable.verify import SUITES
 
 
 def run_cli(argv, monkeypatch=None, stdin_text=None, capsys=None):
@@ -62,6 +64,18 @@ def test_analyze_rejects_non_list_candidates(tmp_path, capsys, candidates):
     assert code == 2
     assert out == ""
     assert err == "error: spectrum 'candidates' must be a list\n"
+
+
+@pytest.mark.parametrize("literal", ["1e1000000000", "1e-1000000000", '"1e1000000000"'])
+def test_analyze_refuses_numbers_expanding_past_the_digit_limit(tmp_path, capsys, default_int_digit_limit, literal):
+    path = tmp_path / "huge.json"
+    path.write_text('{"spectrum": "line", "voters": [{"id": "v1", "interval": [0, %s]}]}' % literal, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(["analyze", str(path)], capsys=capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert "expands to more than 4300 digits" in err
 
 
 def test_analyze_missing_file(capsys):
@@ -121,12 +135,42 @@ def test_generate_random_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "shape", [["--kind", "box", "--d", "0"], ["--kind", "candidates", "--num-candidates", "0"]], ids=["box-d0", "no-candidates"]
+)
+def test_generate_random_refuses_shapes_that_cannot_validate(capsys, shape):
+    code, out, err = run_cli(["generate", "random", "--n", "3", "--seed", "1", *shape], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_generate_random_line_ignores_box_dimension(capsys):
+    code, out, _ = run_cli(["generate", "random", "--kind", "line", "--d", "0", "--n", "3", "--seed", "1"], capsys=capsys)
+    assert code == 0
+    assert loads_society(out).n == 3
+
+
 def test_generate_invalid_params(capsys):
     code, _, err = run_cli(
         ["generate", "extremal", "--n", "3", "--k", "2", "--m", "5"], capsys=capsys
     )
     assert code == 2
     assert "error" in err
+
+
+def test_analyze_with_bounds_validates_once(tmp_path, capsys, monkeypatch, seven_voter_society):
+    import agreeable.society as society_mod
+
+    calls = []
+    real_validate = society_mod.validate
+    monkeypatch.setattr(society_mod, "validate", lambda s: calls.append(s) or real_validate(s))
+    path = str(tmp_path / "s.json")
+    save_society(seven_voter_society, path)
+    code, out, _ = run_cli(["analyze", path, "--k", "2", "--m", "3", "--format", "json"], capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["bound_sheet"]
+    assert len(calls) == 1
 
 
 def test_check_command(tmp_path, capsys, seven_voter_society):
@@ -186,6 +230,17 @@ def test_verify_writes_nothing_without_failure_dir(monkeypatch, capsys, tmp_path
     assert code == 1
     assert "violation:" in out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_refuses_negative_trials(capsys):
+    code, out, err = run_cli(["verify", "--trials", "-1", "--suite", "graph"], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "trials must be >= 0" in err
+
+
+def test_suite_choices_match_verify():
+    assert SUITE_CHOICES == ("all",) + SUITES
 
 
 def test_verify_json_format(capsys):

@@ -3,11 +3,21 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from agreeable import AgreeParams, CapExceededError, agreement, agreement_graph, extremal_linear
+from agreeable import (
+    AgreeParams,
+    CapExceededError,
+    agreement,
+    agreement_graph,
+    candidate_society,
+    extremal_linear,
+    linear_society,
+    make_interval,
+)
 from agreeable.generators import random_graph
 from agreeable.graphs import Graph, graph_from_edges
 from agreeable.oracles import (
     brute_agreement_line,
+    brute_line_witnesses,
     brute_chromatic,
     brute_clique,
     brute_min_vertex_cover,
@@ -185,3 +195,22 @@ def test_hypothesis_filtered_graphs_satisfy_theorems():
 @settings(max_examples=60)
 def test_brute_agreement_matches_sweep(society):
     assert brute_agreement_line(society) == agreement(society).agreement_number
+
+
+def test_brute_line_witnesses_examples():
+    # Touching intervals meet in one point; a plateau spans an inner event;
+    # separate optima stay separate; a point interval is its own witness.
+    assert brute_line_witnesses(linear_society([(0, 1), (1, 2)])) == (make_interval(1, 1),)
+    assert brute_line_witnesses(linear_society([(0, 3), (1, 4), (2, 2)])) == (make_interval(2, 2),)
+    assert brute_line_witnesses(linear_society([(0, 3), (1, 4)])) == (make_interval(1, 3),)
+    assert brute_line_witnesses(linear_society([(0, 1), (0, 1), (5, 6), (5, 6)])) == (
+        make_interval(0, 1),
+        make_interval(5, 6),
+    )
+    assert brute_line_witnesses(linear_society([(-3, -3), None])) == (make_interval(-3, -3),)
+    assert brute_line_witnesses(linear_society([None, None])) == ()
+
+
+def test_brute_line_witnesses_requires_line_spectrum():
+    with pytest.raises(ValueError):
+        brute_line_witnesses(candidate_society([1, 2], [(0, 3)]))

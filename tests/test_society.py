@@ -174,6 +174,65 @@ def test_json_accepts_fraction_strings():
     assert society.voters[0].approval == Interval(Fraction(1, 3), Fraction(5, 3))
 
 
+def test_json_loads_int_pq_and_decimal_tokens_unchanged():
+    text = (
+        '{"spectrum": {"candidates": [1, "1/3", 2.5]}, "voters": ['
+        '{"id": "a", "interval": ["1/3", 1]}, {"id": "b", "interval": ["2/6", 2.50]},'
+        '{"id": "c", "interval": [2.5, 25e-1]}, {"id": "d", "interval": null},'
+        '{"id": "e", "interval": ["-7/2", "2E3"]}]}'
+    )
+    society = loads_society(text)
+    third, two_and_half = Fraction(1, 3), Fraction(5, 2)
+    assert society.spectrum.candidates == (1, third, two_and_half)
+    assert [v.approval for v in society.voters] == [
+        Interval(third, Fraction(1)),
+        Interval(third, two_and_half),
+        Interval(two_and_half, two_and_half),
+        None,
+        Interval(Fraction(-7, 2), Fraction(2000)),
+    ]
+    assert dumps_society(society) == (
+        '{"spectrum":{"candidates":[1,"1/3","5/2"]},"voters":['
+        '{"id":"a","interval":["1/3",1]},{"id":"b","interval":["1/3","5/2"]},'
+        '{"id":"c","interval":["5/2","5/2"]},{"id":"d","interval":null},'
+        '{"id":"e","interval":["-7/2",2000]}]}\n'
+    )
+
+
+def test_json_repeated_tokens_share_one_coordinate():
+    society = loads_society(
+        '{"spectrum": "line", "voters": [{"id": "a", "interval": ["1/3", 2.5]},'
+        '{"id": "b", "interval": ["1/3", 2.5]}, {"id": "c", "interval": [7, 7]}]}'
+    )
+    a, b, c = (v.approval for v in society.voters)
+    assert a.lo is b.lo and a.hi is b.hi and c.lo is c.hi
+
+
+@pytest.mark.parametrize("token", ["true", "false"])
+def test_json_rejects_booleans_even_after_equal_ints(token):
+    # true == 1 and false == 0, and they hash alike: an interned 1 or 0 must
+    # not stand in for them.
+    text = '{"spectrum": "line", "voters": [{"id": "a", "interval": [0, 1]}, {"id": "b", "interval": [%s, 1]}]}'
+    with pytest.raises(SocietyFormatError, match="is not a number"):
+        loads_society(text % token)
+
+
+def test_json_number_digit_bound(default_int_digit_limit):
+    line = '{"spectrum": "line", "voters": [{"id": "a", "interval": [%s, %s]}]}'
+    society = loads_society(line % ("-1e-4000", "1e4000"))
+    assert society.voters[0].approval == Interval(Fraction(-1, 10**4000), Fraction(10**4000))
+    for lo, hi in [("0", "1e4300"), ("1e-4300", "1"), ("0", '"1e4300"'), ("0", "1" * 4301 + ".5")]:
+        with pytest.raises(SocietyFormatError, match="expands to more than 4300 digits"):
+            loads_society(line % (lo, hi))
+
+
+def test_society_validates_once():
+    society = linear_society([(0, 1), (2, 1)])
+    assert society.violations == ("voter v2: lo > hi",)
+    assert society.violations is society.violations
+    assert validate(society) == ["voter v2: lo > hi"]
+
+
 def test_json_box_round_trip():
     society = box_society([((0, 1), (2, 3)), None])
     assert loads_society(dumps_society(society)) == society

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -52,3 +53,14 @@ def test_child_seed_is_stable():
     assert child_seed(1, "linear-society", 0) == child_seed(1, "linear-society", 0)
     assert child_seed(1, "linear-society", 0) != child_seed(1, "linear-society", 1)
     assert child_seed(1, "linear-society", 0) != child_seed(2, "linear-society", 0)
+
+
+def test_sweep_property_compares_witnesses(monkeypatch):
+    # Not ``import agreeable.agreement as ...``: that name is the function.
+    agreement_mod = importlib.import_module("agreeable.agreement")
+    real_sweep = agreement_mod._sweep
+    monkeypatch.setattr(agreement_mod, "_sweep", lambda intervals: (real_sweep(intervals)[0], ()))
+    report = run_suites("linear", 10, seed=1)
+    sweep = next(r for r in report.results if r.name == "sweep-matches-endpoint-oracle")
+    assert sweep.checked == 10
+    assert len(sweep.violations) == 10
