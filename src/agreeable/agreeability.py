@@ -8,8 +8,11 @@ Sub-society agreement numbers are evaluated on a finite platform set that
 is exhaustive for every voter subset at once: left endpoints for a line
 society, the candidates themselves, and the grid of per-axis lower
 endpoints for a box society (a maximum-depth point shifts onto that grid).
-Each platform contributes the bitmask of voters approving it, and a subset
-S is *deficient* iff every platform mask meets S in at most k-1 voters.
+Each platform contributes the bitmask of voters approving it.  The masks
+are built once per society: per axis, two bisections per voter and a
+prefix XOR over a difference array, O(n log P + P) big-int operations for
+P coordinates, then O(P^d * d) ANDs for a d-box grid.  A subset S is
+*deficient* iff every platform mask meets S in at most k-1 voters.
 Deficient sets are closed under taking subsets, so a depth-first search in
 voter order that only ever extends deficient sets finds the
 lexicographically first deficient m-subset, or proves none exists.  The
@@ -25,20 +28,12 @@ voter with a non-empty approval set in every m-subset.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .society import (
-    Box,
-    CandidateSpectrum,
-    Interval,
-    LineSpectrum,
-    Society,
-    require_valid,
-)
+from .society import Society, require_valid
 
 # Upper bound on C(n, m) for an exact check; override with the
 # AGREE_MAX_SUBSETS environment variable.
@@ -75,47 +70,13 @@ class AgreeabilityResult:
 def platform_masks(society: Society) -> list[int]:
     """Voter bitmasks of every platform that can attain a maximum depth.
 
-    Deduplicated; masks contained in another mask are dropped (they can
-    never decide a depth comparison).
+    Deduplicated, ordered by decreasing voter count (ties by value); masks
+    contained in another mask are dropped (they can never decide a depth
+    comparison).  Built once per society and cached; each call returns a
+    fresh list.  Raises ValueError for a malformed society and
+    CapExceededError past the box caps.
     """
-    voters = society.voters
-    spectrum = society.spectrum
-    masks: set[int] = set()
-
-    if isinstance(spectrum, CandidateSpectrum):
-        for c in spectrum.candidates:
-            mask = 0
-            for i, v in enumerate(voters):
-                if isinstance(v.approval, Interval) and v.approval.contains(c):
-                    mask |= 1 << i
-            masks.add(mask)
-    elif isinstance(spectrum, LineSpectrum):
-        for p in {v.approval.lo for v in voters if isinstance(v.approval, Interval)}:
-            mask = 0
-            for i, v in enumerate(voters):
-                if isinstance(v.approval, Interval) and v.approval.contains(p):
-                    mask |= 1 << i
-            masks.add(mask)
-    else:
-        boxes = [(i, v.approval) for i, v in enumerate(voters) if isinstance(v.approval, Box)]
-        axes = [sorted({b.sides[axis].lo for _, b in boxes}) for axis in range(spectrum.dimension)]
-        for point in itertools.product(*axes):
-            mask = 0
-            for i, b in boxes:
-                if b.contains(point):
-                    mask |= 1 << i
-            masks.add(mask)
-
-    masks.discard(0)
-    ordered = sorted(masks, key=lambda m: (-m.bit_count(), m))
-    maximal: list[int] = []
-    if len(ordered) <= 4000:  # keep the quadratic filter cheap
-        for m in ordered:
-            if not any(m & keep == m for keep in maximal):
-                maximal.append(m)
-    else:
-        maximal = ordered
-    return maximal
+    return list(society._platform_table.maximal)
 
 
 def is_km_agreeable(
@@ -138,9 +99,10 @@ def is_km_agreeable(
     num_masks = len(masks)
     member_masks: list[list[int]] = [[] for _ in range(n)]
     for j, mask in enumerate(masks):
-        for i in range(n):
-            if mask >> i & 1:
-                member_masks[i].append(j)
+        while mask:
+            low = mask & -mask
+            member_masks[low.bit_length() - 1].append(j)
+            mask ^= low
 
     # remaining[j][i]: members of mask j with voter index >= i.
     remaining = []
@@ -160,13 +122,14 @@ def is_km_agreeable(
     budget = cap * _NODE_BUDGET_FACTOR
     nodes = 0
 
-    def search(start: int) -> tuple[int, ...] | None:
+    def enter(start: int) -> bool:
+        """Count a search node; True when ``chosen`` has size m or can reach it."""
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise CapExceededError(f"subset search exceeded {budget} nodes")
         if len(chosen) == m:
-            return tuple(chosen)
+            return True
         reach = len(chosen) + free_suffix[start]
         for j in range(num_masks):
             slack = (k - 1) - counts[j]
@@ -174,25 +137,39 @@ def is_km_agreeable(
                 rem = remaining[j][start]
                 reach += slack if slack < rem else rem
             if reach >= m:
-                break
-        if reach < m:
-            return None
-        for i in range(start, n):
-            mm = member_masks[i]
-            if any(counts[j] >= k - 1 for j in mm):
-                continue
-            for j in mm:
-                counts[j] += 1
-            chosen.append(i)
-            found = search(i + 1)
-            chosen.pop()
-            for j in mm:
-                counts[j] -= 1
-            if found is not None:
-                return found
-        return None
+                return True
+        return reach >= m
 
-    witness = search(0)
+    def drop_last() -> None:
+        for j in member_masks[chosen.pop()]:
+            counts[j] -= 1
+
+    # Depth-first in voter order with an explicit stack, so no subset size
+    # can overflow the interpreter's recursion limit: next_voter[d] is the
+    # next voter to try as the (d+1)-th member, and chosen[:d] is the path.
+    witness = None
+    next_voter = [0] if enter(0) else []
+    while next_voter:
+        i = next_voter[-1]
+        while i < n and any(counts[j] >= k - 1 for j in member_masks[i]):
+            i += 1
+        if i == n:
+            next_voter.pop()
+            if chosen:
+                drop_last()
+            continue
+        next_voter[-1] = i + 1
+        for j in member_masks[i]:
+            counts[j] += 1
+        chosen.append(i)
+        if not enter(i + 1):
+            drop_last()
+        elif len(chosen) == m:
+            witness = tuple(chosen)
+            break
+        else:
+            next_voter.append(i + 1)
+
     if witness is None:
         return AgreeabilityResult(True, params)
     ids = tuple(society.voters[i].id for i in witness)

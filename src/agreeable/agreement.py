@@ -10,12 +10,17 @@ largest denominator bit length b: distinct endpoints differ by more than
 2**-2b, so the keys order them exactly and no Fraction is hashed or
 compared while counting, sorting and merging.  The candidate tally bisects
 each voter's interval into the slate and accumulates a difference array,
-O(n log c + c) for c candidates; box depth scans a grid of lower corners,
-O(n^(d+1)), and is capped.
+O(n log c + c) for c candidates.  Box depth reads the voter count of each
+point of the grid of per-axis lower endpoints from the society's cached
+platform masks: O(n log P + P) big-int operations per axis of P
+coordinates and O(P^d * d) ANDs for the grid, capped at 30 voters and 3
+dimensions.
 
-Closed-interval semantics enter the computation in exactly one place: the
-line sweep processes interval starts before interval ends at equal
-coordinates, so touching intervals count as overlapping.
+Closed-interval semantics enter the computation in two places: the line
+sweep processes interval starts before interval ends at equal coordinates,
+so touching intervals count as overlapping, and ``society._candidate_range``
+bisects left on a side's lower end and right on its upper end, for the
+candidate tally and the platform masks alike.
 """
 
 from __future__ import annotations
@@ -27,9 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import CapExceededError
 from .society import (
-    Box,
     BoxSpectrum,
     CandidateSpectrum,
     Coord,
@@ -41,11 +44,6 @@ from .society import (
     coord_str,
     require_valid,
 )
-
-# Box depth enumerates a grid of lower corners: O(n^(d+1)) points.  Fine at
-# desk scale, unacceptable beyond it, so the limits are hard errors.
-MAX_BOX_VOTERS = 30
-MAX_BOX_DIMENSION = 3
 
 
 @dataclass(frozen=True)
@@ -157,39 +155,22 @@ def _sweep(intervals: list[Interval]) -> tuple[int, tuple[Interval, ...]]:
     return best, tuple(Interval(coord_of[lo], coord_of[hi]) for lo, hi in runs)
 
 
-def _box_grid_axes(boxes: list[Box], dimension: int) -> list[list[Coord]]:
-    return [sorted({b.sides[axis].lo for b in boxes}) for axis in range(dimension)]
-
-
 def _box_agreement(society: Society) -> AgreementReport:
-    spectrum = society.spectrum
-    if not isinstance(spectrum, BoxSpectrum):
+    """Box depth: the voter count of every grid point's platform mask.
+
+    The grid of per-axis lower endpoints is exhaustive (see
+    ``society._build_platform_table``); witnesses are the optimal grid
+    points in ``itertools.product`` order.
+    """
+    if not isinstance(society.spectrum, BoxSpectrum):
         raise ValueError("box depth applies to box societies")
-    if society.n > MAX_BOX_VOTERS:
-        raise CapExceededError(f"box societies are capped at {MAX_BOX_VOTERS} voters, got {society.n}")
-    if spectrum.dimension > MAX_BOX_DIMENSION:
-        raise CapExceededError(
-            f"box societies are capped at dimension {MAX_BOX_DIMENSION}, got {spectrum.dimension}"
-        )
-
-    boxes = [v.approval for v in society.voters if isinstance(v.approval, Box)]
-    if not boxes:
+    table = society._platform_table
+    depths = [mask.bit_count() for mask in table.masks]
+    best = max(depths, default=0)
+    if best == 0:
         return AgreementReport(0, society.n, ())
-
-    # A maximum-depth point can be shifted, axis by axis, down to the largest
-    # lower endpoint among the boxes containing it, so searching the grid of
-    # per-axis lower endpoints is exhaustive.
-    axes = _box_grid_axes(boxes, spectrum.dimension)
-    best = 0
-    witnesses: list[tuple[Coord, ...]] = []
-    for point in itertools.product(*axes):
-        depth = sum(1 for b in boxes if b.contains(point))
-        if depth > best:
-            best = depth
-            witnesses = [point]
-        elif depth == best and best > 0:
-            witnesses.append(point)
-    return AgreementReport(best, society.n, tuple(witnesses))
+    points = itertools.product(*table.axes)
+    return AgreementReport(best, society.n, tuple(p for p, depth in zip(points, depths) if depth == best))
 
 
 def agreement(society: Society) -> AgreementReport:
@@ -293,12 +274,34 @@ def two_platform_cover(society: Society) -> TwoPlatformCover:
     return cover
 
 
+def _covered_subsets(masks: list[int], start: int, need: int) -> int:
+    """Number of ``need``-subsets of voters >= ``start`` inside some mask.
+
+    Depth-first in voter order, keeping only the masks that hold every
+    voter chosen so far; once one mask is left, the count is a binomial.
+    """
+    if need == 0:
+        return 1
+    if len(masks) == 1:
+        return math.comb((masks[0] >> start).bit_count(), need)
+    total = 0
+    for i in range(start, max((mask.bit_length() for mask in masks), default=0)):
+        holding = [mask for mask in masks if mask >> i & 1]
+        if holding:
+            total += _covered_subsets(holding, i + 1, need - 1)
+    return total
+
+
 def good_set_count(society: Society, size: int | None = None) -> int:
     """Count voter subsets of the given size whose boxes share a point.
 
     ``size`` defaults to d+1 for a d-box society, the subset size whose
     counting argument feeds the fractional intersection bound.  A subset
     containing an empty approval set is never counted.
+
+    Boxes share a point iff their common box's lower corner, a grid point,
+    lies in all of them, so the count is the number of ``size``-subsets
+    inside some maximal platform mask.
     """
     require_valid(society)
     spectrum = society.spectrum
@@ -306,21 +309,11 @@ def good_set_count(society: Society, size: int | None = None) -> int:
         raise ValueError("good_set_count applies to box societies")
     if size is None:
         size = spectrum.dimension + 1
+    if size < 1:
+        raise ValueError(f"good_set_count needs size >= 1, got size={size}")
     if society.n <= spectrum.dimension:
         raise ValueError(f"need more than d={spectrum.dimension} voters, got {society.n}")
-    if society.n > MAX_BOX_VOTERS:
-        raise CapExceededError(f"box societies are capped at {MAX_BOX_VOTERS} voters")
-
-    count = 0
-    for subset in itertools.combinations(society.voters, size):
-        common = subset[0].approval
-        for v in subset[1:]:
-            if common is None:
-                break
-            common = None if v.approval is None else common.intersect(v.approval)
-        if common is not None:
-            count += 1
-    return count
+    return _covered_subsets(list(society._platform_table.maximal), 0, size)
 
 
 def good_set_lower_bound(n: int, d: int, k: int, m: int) -> Fraction:

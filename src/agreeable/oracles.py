@@ -2,10 +2,10 @@
 
 Everything here recomputes graph and society quantities by exhaustive
 enumeration on Fractions, sharing no logic with the fast paths it is used
-to validate (the sweep and its integer order keys, the subset search, the
-sorted-endpoint graph and coloring).  Instance-size caps on the
-exponential searches are hard errors: an oracle never silently
-approximates.
+to validate (the sweep and its integer order keys, the platform masks and
+box depth, the subset search, the sorted-endpoint graph and coloring).
+Instance-size caps on the exponential searches are hard errors: an oracle
+never silently approximates.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ import itertools
 from dataclasses import dataclass
 
 from .agreeability import AgreeParams, subset_cap
+from .agreement import AgreementReport
 from .errors import CapExceededError
 from .graphs import Coloring, Graph
-from .society import Box, CandidateSpectrum, Interval, LineSpectrum, Society
+from .society import Box, BoxSpectrum, CandidateSpectrum, Interval, LineSpectrum, Society
 
 MAX_CLIQUE_VERTICES = 24
 MAX_CHROMATIC_VERTICES = 13
@@ -57,19 +58,14 @@ def brute_clique(graph: Graph) -> int:
     return best
 
 
-def brute_chromatic(graph: Graph) -> int:
-    """Exact chromatic number by dynamic programming over vertex subsets.
+def _chromatic_table(adj: list[int]) -> list[int]:
+    """chi of every induced subgraph, indexed by vertex bitmask.
 
     chi(S) = 1 + min over independent sets I in S containing S's first
     vertex of chi(S - I); there is always an optimal coloring in which
     that vertex's color class is such a set.
     """
-    n = graph.n
-    if n > MAX_CHROMATIC_VERTICES:
-        raise CapExceededError(f"brute_chromatic capped at {MAX_CHROMATIC_VERTICES} vertices")
-    if n == 0:
-        return 0
-    adj = _adjacency_masks(graph)
+    n = len(adj)
     full = (1 << n) - 1
 
     independent = [False] * (full + 1)
@@ -91,7 +87,14 @@ def brute_chromatic(graph: Graph) -> int:
                     best = candidate
             sub = (sub - 1) & mask
         chi[mask] = best
-    return chi[full]
+    return chi
+
+
+def brute_chromatic(graph: Graph) -> int:
+    """Exact chromatic number by dynamic programming over vertex subsets."""
+    if graph.n > MAX_CHROMATIC_VERTICES:
+        raise CapExceededError(f"brute_chromatic capped at {MAX_CHROMATIC_VERTICES} vertices")
+    return _chromatic_table(_adjacency_masks(graph))[-1]
 
 
 def induced_subgraph_tables(graph: Graph) -> tuple[list[int], list[int]]:
@@ -99,41 +102,19 @@ def induced_subgraph_tables(graph: Graph) -> tuple[list[int], list[int]]:
 
     omega uses the recurrence omega(S) = max(omega(S - v), 1 + omega of
     S's neighbors of v) with v the first vertex of S; chi as in
-    :func:`brute_chromatic`.  Used for exhaustive perfection checks.
+    :func:`_chromatic_table`.  Used for exhaustive perfection checks.
     """
-    n = graph.n
-    if n > MAX_CHROMATIC_VERTICES:
+    if graph.n > MAX_CHROMATIC_VERTICES:
         raise CapExceededError(f"induced tables capped at {MAX_CHROMATIC_VERTICES} vertices")
     adj = _adjacency_masks(graph)
-    full = (1 << n) - 1
 
-    omega = [0] * (full + 1)
-    for mask in range(1, full + 1):
+    omega = [0] * (1 << graph.n)
+    for mask in range(1, len(omega)):
         v = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
         with_v = 1 + omega[rest & adj[v]]
         omega[mask] = max(omega[rest], with_v)
-
-    independent = [False] * (full + 1)
-    independent[0] = True
-    for mask in range(1, full + 1):
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        independent[mask] = independent[rest] and not (adj[v] & rest)
-
-    chi = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        best = n
-        sub = mask
-        while sub:
-            if sub & low and independent[sub]:
-                candidate = 1 + chi[mask ^ sub]
-                if candidate < best:
-                    best = candidate
-            sub = (sub - 1) & mask
-        chi[mask] = best
-    return omega, chi
+    return omega, _chromatic_table(adj)
 
 
 def is_perfect_by_enumeration(graph: Graph) -> bool:
@@ -371,3 +352,91 @@ def brute_first_fit_coloring(society: Society) -> Coloring:
         assignment[vid] = color
         colored.append((vid, iv))
     return Coloring(assignment)
+
+
+def brute_platform_masks(society: Society) -> list[int]:
+    """Platform masks by testing every voter against every platform.
+
+    Platforms: the distinct left endpoints of a line society, the slate of a
+    candidate society, the grid of per-axis distinct lower endpoints of a
+    box society.  Deduplicated, most voters first (ties by value), masks
+    contained in another dropped, all kept past 4000 distinct masks.
+    O(P n) Fraction containment tests, O(n^(d+1)) for d-boxes; kept
+    independent of the difference-array masks it cross-checks.
+    """
+    voters = society.voters
+    spectrum = society.spectrum
+    masks: set[int] = set()
+
+    if isinstance(spectrum, CandidateSpectrum):
+        for c in spectrum.candidates:
+            mask = 0
+            for i, v in enumerate(voters):
+                if isinstance(v.approval, Interval) and v.approval.contains(c):
+                    mask |= 1 << i
+            masks.add(mask)
+    elif isinstance(spectrum, LineSpectrum):
+        for p in {v.approval.lo for v in voters if isinstance(v.approval, Interval)}:
+            mask = 0
+            for i, v in enumerate(voters):
+                if isinstance(v.approval, Interval) and v.approval.contains(p):
+                    mask |= 1 << i
+            masks.add(mask)
+    else:
+        boxes = [(i, v.approval) for i, v in enumerate(voters) if isinstance(v.approval, Box)]
+        axes = [sorted({b.sides[axis].lo for _, b in boxes}) for axis in range(spectrum.dimension)]
+        for point in itertools.product(*axes):
+            mask = 0
+            for i, b in boxes:
+                if b.contains(point):
+                    mask |= 1 << i
+            masks.add(mask)
+
+    masks.discard(0)
+    ordered = sorted(masks, key=lambda m: (-m.bit_count(), m))
+    if len(ordered) > 4000:
+        return ordered
+    maximal: list[int] = []
+    for m in ordered:
+        if not any(m & keep == m for keep in maximal):
+            maximal.append(m)
+    return maximal
+
+
+def brute_box_depth(society: Society) -> AgreementReport:
+    """Box agreement by counting the boxes containing each grid point.
+
+    The grid of per-axis lower endpoints is exhaustive: a maximum-depth
+    point shifts, axis by axis, down to the largest lower endpoint among the
+    boxes containing it.  Witnesses are the optimal grid points in
+    ``itertools.product`` order.  O(n^(d+1)) Fraction containment tests.
+    """
+    if not isinstance(society.spectrum, BoxSpectrum):
+        raise ValueError("brute_box_depth applies to box societies")
+    boxes = [v.approval for v in society.voters if isinstance(v.approval, Box)]
+    axes = [sorted({b.sides[axis].lo for b in boxes}) for axis in range(society.spectrum.dimension)]
+    best = 0
+    witnesses: list[tuple] = []
+    for point in itertools.product(*axes):
+        depth = sum(1 for b in boxes if b.contains(point))
+        if depth > best:
+            best = depth
+            witnesses = [point]
+        elif depth == best and best > 0:
+            witnesses.append(point)
+    return AgreementReport(best, society.n, tuple(witnesses))
+
+
+def brute_good_set_count(society: Society, size: int) -> int:
+    """Voter subsets of ``size`` whose approval sets share a point, by
+    intersecting every such subset; subsets with an empty set never count."""
+    count = 0
+    for subset in itertools.combinations(society.voters, size):
+        common = subset[0].approval
+        for v in subset[1:]:
+            if common is None:
+                break
+            common = None if v.approval is None else common.intersect(v.approval)
+        if common is not None:
+            count += 1
+    return count

@@ -20,7 +20,9 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -29,7 +31,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import IO, Union
 
+from .errors import CapExceededError
+
 Coord = Fraction
+
+# A box society's platform grid holds up to n^d points: fine at desk scale,
+# unacceptable beyond it, so past these limits box computations are refused.
+MAX_BOX_VOTERS = 30
+MAX_BOX_DIMENSION = 3
 
 
 def as_coord(value: Union[int, str, Fraction, Decimal]) -> Coord:
@@ -181,6 +190,11 @@ class Society:
         """
         return tuple(validate(self))
 
+    @cached_property
+    def _platform_table(self) -> "_PlatformTable":
+        """:func:`_build_platform_table`'s table, built on first use."""
+        return _build_platform_table(self)
+
     def voter_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.voters)
 
@@ -307,6 +321,82 @@ def _candidate_range(interval: Interval | None, candidates: tuple[Coord, ...]) -
     i = bisect_left(candidates, interval.lo)
     j = bisect_right(candidates, interval.hi, i)
     return (i, j) if i < j else None
+
+
+@dataclass(frozen=True)
+class _PlatformTable:
+    """A platform set that is exhaustive for every voter subset at once.
+
+    The platforms are ``itertools.product(*axes)``, in that order, and
+    ``masks[p]`` has bit i set iff voter i approves platform p.
+    """
+
+    axes: tuple[tuple[Coord, ...], ...]
+    masks: tuple[int, ...]
+
+    @cached_property
+    def maximal(self) -> tuple[int, ...]:
+        """The distinct non-zero masks, most voters first (ties by value),
+        less every mask contained in another: such a mask can never decide a
+        depth comparison.  Past 4000 distinct masks all are kept."""
+        ordered = sorted(set(self.masks) - {0}, key=lambda m: (-m.bit_count(), m))
+        if len(ordered) > 4000:  # keep the quadratic filter cheap
+            return tuple(ordered)
+        kept: list[int] = []
+        for m in ordered:
+            if not any(m & keep == m for keep in kept):
+                kept.append(m)
+        return tuple(kept)
+
+
+def _build_platform_table(society: Society) -> _PlatformTable:
+    """The platforms a maximum depth can need, with their voter bitmasks.
+
+    Line: the distinct left endpoints (a maximum-depth point shifts left to
+    the largest left endpoint below it).  Candidates: the slate.  d-box: the
+    grid of per-axis distinct lower endpoints (a maximum-depth point shifts,
+    axis by axis, down to the largest lower endpoint among the boxes
+    containing it).
+
+    Each axis takes one pass: a voter's side covers one run of the axis's
+    sorted coordinates, found by two bisections (:func:`_candidate_range`);
+    its bit is XORed into a difference array at both ends of the run, and a
+    prefix XOR gives the mask at every coordinate.  A grid point's mask is
+    the AND of its axis masks.  O(n log P + P) big-int operations per axis
+    of P coordinates and O(P^d * d) ANDs for the grid, all exact.
+
+    Raises CapExceededError for a box society past ``MAX_BOX_VOTERS`` voters
+    or ``MAX_BOX_DIMENSION`` dimensions.
+    """
+    require_valid(society)
+    spec = society.spectrum
+    if isinstance(spec, BoxSpectrum):
+        if society.n > MAX_BOX_VOTERS:
+            raise CapExceededError(f"box societies are capped at {MAX_BOX_VOTERS} voters, got {society.n}")
+        if spec.dimension > MAX_BOX_DIMENSION:
+            raise CapExceededError(
+                f"box societies are capped at dimension {MAX_BOX_DIMENSION}, got {spec.dimension}"
+            )
+        sides = [(1 << i, v.approval.sides) for i, v in enumerate(society.voters) if v.approval is not None]
+        axes = [tuple(sorted({s[a].lo for _, s in sides})) for a in range(spec.dimension)]
+    else:
+        sides = [(1 << i, (v.approval,)) for i, v in enumerate(society.voters) if v.approval is not None]
+        if isinstance(spec, CandidateSpectrum):
+            axes = [spec.candidates]
+        else:
+            axes = [tuple(sorted({s[0].lo for _, s in sides}))]
+
+    masks = [-1]
+    for a, axis in enumerate(axes):
+        diff = [0] * (len(axis) + 1)
+        for bit, s in sides:
+            span = _candidate_range(s[a], axis)
+            if span is not None:
+                diff[span[0]] ^= bit
+                diff[span[1]] ^= bit
+        axis_masks = list(itertools.accumulate(diff[:-1], operator.xor))
+        masks = [m & x for m in masks for x in axis_masks]
+    return _PlatformTable(tuple(axes), tuple(masks))
 
 
 def _candidate_hull(interval: Interval | None, candidates: tuple[Coord, ...]) -> Interval | None:

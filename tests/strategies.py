@@ -4,7 +4,18 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from agreeable import CandidateSpectrum, Interval, Society, LINE, Voter, make_box, make_interval, to_box_society
+from agreeable import (
+    Box,
+    BoxSpectrum,
+    CandidateSpectrum,
+    Interval,
+    LINE,
+    Society,
+    Voter,
+    make_box,
+    make_interval,
+    to_box_society,
+)
 from agreeable.graphs import Graph
 
 coords = st.one_of(
@@ -110,8 +121,6 @@ def box_societies(draw, dimension=2, min_n=1, max_n=8, allow_empty=True):
             lo = draw(st.integers(-10, 10))
             sides.append((lo, lo + draw(st.integers(0, 8))))
         voters.append(Voter(f"v{i + 1}", make_box(*sides)))
-    from agreeable import BoxSpectrum
-
     return Society(BoxSpectrum(dimension), tuple(voters))
 
 
@@ -125,3 +134,37 @@ def graphs(draw, min_n=1, max_n=9):
             if draw(st.booleans()):
                 edges.add((vertices[i], vertices[j]))
     return Graph(vertices, frozenset(edges))
+
+
+@st.composite
+def pooled_societies(draw, max_n=8, kinds=("line", "candidates", 1, 2, 3)):
+    """Societies on a few p/q coordinates; a kind is "line", "candidates" or a box dimension.
+
+    Every endpoint comes from a pool of at most five coordinates, so sides
+    touch, nest and degenerate to points; a voter is empty or a copy of an
+    earlier voter's approval one time in five each.  A candidate slate mixes
+    pool points with points beyond every interval.
+    """
+    kind = draw(st.sampled_from(kinds))
+    dimension = kind if isinstance(kind, int) else 1
+    pool = draw(st.lists(coords, min_size=1, max_size=5, unique=True))
+    voters = []
+    for i in range(draw(st.integers(1, max_n))):
+        roll = draw(st.integers(0, 4))
+        if roll == 0:
+            approval = None
+        elif roll == 1 and voters:
+            approval = draw(st.sampled_from(voters)).approval
+        else:
+            sides = []
+            for _ in range(dimension):
+                a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+                sides.append(Interval(Fraction(min(a, b)), Fraction(max(a, b))))
+            approval = Box(tuple(sides)) if isinstance(kind, int) else sides[0]
+        voters.append(Voter(f"v{i + 1}", approval))
+    if kind == "line":
+        return Society(LINE, tuple(voters))
+    if kind == "candidates":
+        slate = draw(st.sets(st.one_of(st.sampled_from(pool), st.integers(-40, 40)), min_size=1, max_size=6))
+        return Society(CandidateSpectrum(tuple(sorted(Fraction(c) for c in slate))), tuple(voters))
+    return Society(BoxSpectrum(dimension), tuple(voters))

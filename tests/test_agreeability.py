@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,10 @@ from agreeable import (
     restrict_to_candidates,
 )
 
-from strategies import line_societies
+from agreeable.agreeability import platform_masks
+from agreeable.oracles import brute_platform_masks
+
+from strategies import line_societies, pooled_societies
 
 
 def test_params_validation():
@@ -205,3 +209,31 @@ def test_agreeability_matches_subset_enumeration_all_kinds():
         assert result.agreeable == expected, (kind, n, k, m, trial)
         if not result.agreeable:
             assert agreement(society.induced(result.witness)).agreement_number < k
+
+
+@given(pooled_societies())
+@settings(max_examples=300, deadline=None)
+def test_platform_masks_match_brute_force(society):
+    assert platform_masks(society) == brute_platform_masks(society)
+
+
+@given(pooled_societies(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_witness_is_first_deficient_subset_in_enumeration_order(society, data):
+    # A subset is deficient iff every brute-force platform mask meets it in
+    # fewer than k voters; the platform set is exhaustive for every subset.
+    k = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, society.n))
+    if m < k:
+        return
+    masks = brute_platform_masks(society)
+    deficient = (
+        combo
+        for combo in itertools.combinations(range(society.n), m)
+        if all((mask & sum(1 << i for i in combo)).bit_count() < k for mask in masks)
+    )
+    first = next(deficient, None)
+    result = is_km_agreeable(society, AgreeParams(k, m))
+    assert result.agreeable == (first is None)
+    if first is not None:
+        assert result.witness == tuple(society.voters[i].id for i in first)

@@ -20,8 +20,9 @@ from agreeable import (
     to_box_society,
     two_platform_cover,
 )
+from agreeable.agreeability import platform_masks
 from agreeable.agreement import _order_keys
-from agreeable.oracles import brute_agreement_line, brute_line_witnesses
+from agreeable.oracles import brute_agreement_line, brute_box_depth, brute_good_set_count, brute_line_witnesses
 
 from strategies import (
     box_societies,
@@ -30,6 +31,7 @@ from strategies import (
     farey_neighbours,
     huge_denominator_coords,
     line_societies,
+    pooled_societies,
 )
 
 
@@ -229,11 +231,35 @@ def test_box_witnesses_are_grid_points():
 
 def test_box_caps():
     society = box_society([((0, 1), (0, 1))] * 31)
-    with pytest.raises(CapExceededError):
-        agreement(society)
-    deep = box_society([tuple((0, 1) for _ in range(4))])
-    with pytest.raises(CapExceededError):
-        agreement(deep)
+    deep = box_society([tuple((0, 1) for _ in range(4))] * 5)
+    for capped in (society, deep):
+        for compute in (agreement, platform_masks, good_set_count, lambda s: is_km_agreeable(s, AgreeParams(2, 3))):
+            with pytest.raises(CapExceededError, match="box societies are capped"):
+                compute(capped)
+
+
+@given(pooled_societies(kinds=(1, 2, 3)))
+@settings(max_examples=200, deadline=None)
+def test_box_depth_matches_brute_force(society):
+    assert agreement(society) == brute_box_depth(society)
+
+
+@given(pooled_societies(kinds=(1, 2, 3)))
+@settings(max_examples=200, deadline=None)
+def test_good_set_count_matches_brute_force(society):
+    spectrum = society.spectrum
+    if society.n <= spectrum.dimension:
+        return
+    for size in range(1, spectrum.dimension + 3):
+        assert good_set_count(society, size) == brute_good_set_count(society, size), size
+    assert good_set_count(society) == brute_good_set_count(society, spectrum.dimension + 1)
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_good_set_count_rejects_sizes_below_one(size):
+    society = box_society([((0, 1),)] * 3)
+    with pytest.raises(ValueError, match=f"size={size}"):
+        good_set_count(society, size)
 
 
 @given(line_societies(max_n=8))

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from agreeable import dumps_society, five_cycle_boxes, loads_society, save_society
+from agreeable import box_society, dumps_society, five_cycle_boxes, linear_society, loads_society, save_society
 from agreeable.cli import SUITE_CHOICES, main
 from agreeable.verify import SUITES
 
@@ -186,6 +186,31 @@ def test_check_command(tmp_path, capsys, seven_voter_society):
     obj = json.loads(out)
     assert obj["agreeable"] is False
     assert obj["witness"] == ["v1", "v2", "v4", "v5"]
+
+
+def test_check_deep_search_needs_no_recursion(tmp_path):
+    # m = n = 1200 puts the subset search 1200 levels deep.
+    path = tmp_path / "chain.json"
+    save_society(linear_society([(2 * i, 2 * i + 1) for i in range(1200)]), str(path))
+    result = subprocess.run(
+        [sys.executable, "-m", "agreeable", "check", str(path), "--k", "2", "--m", "1200", "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    obj = json.loads(result.stdout)
+    assert obj["agreeable"] is False
+    assert obj["witness"] == [f"v{i + 1}" for i in range(1200)]
+
+
+def test_check_refuses_box_society_past_the_voter_cap(tmp_path, capsys):
+    path = str(tmp_path / "boxes.json")
+    save_society(box_society([((0, 1), (0, 1))] * 31), path)
+    code, out, err = run_cli(["check", path, "--k", "2", "--m", "3"], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "box societies are capped at 30 voters, got 31" in err
 
 
 def test_bounds_command(capsys):

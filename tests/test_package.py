@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -83,3 +84,15 @@ def test_analyze_json_imports_only_the_loader_and_sweep(tmp_path, seven_voter_so
     assert code == "0"
     assert {"agreeable.agreement", "agreeable.society"} <= set(loaded)
     assert not set(loaded) & {"agreeable.verify", "agreeable.oracles", "agreeable.generators", "agreeable.graphs"}
+
+
+def test_no_bare_asserts_in_the_package():
+    # ``python -O`` strips assert statements, so no check may live in one.
+    package = Path(agreeable.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
