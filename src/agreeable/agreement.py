@@ -41,6 +41,7 @@ from .society import (
     Society,
     _candidate_range,
     _coord_to_json,
+    _require_box_caps,
     coord_str,
     require_valid,
 )
@@ -274,34 +275,14 @@ def two_platform_cover(society: Society) -> TwoPlatformCover:
     return cover
 
 
-def _covered_subsets(masks: list[int], start: int, need: int) -> int:
-    """Number of ``need``-subsets of voters >= ``start`` inside some mask.
-
-    Depth-first in voter order, keeping only the masks that hold every
-    voter chosen so far; once one mask is left, the count is a binomial.
-    """
-    if need == 0:
-        return 1
-    if len(masks) == 1:
-        return math.comb((masks[0] >> start).bit_count(), need)
-    total = 0
-    for i in range(start, max((mask.bit_length() for mask in masks), default=0)):
-        holding = [mask for mask in masks if mask >> i & 1]
-        if holding:
-            total += _covered_subsets(holding, i + 1, need - 1)
-    return total
-
-
 def good_set_count(society: Society, size: int | None = None) -> int:
     """Count voter subsets of the given size whose boxes share a point.
 
     ``size`` defaults to d+1 for a d-box society, the subset size whose
     counting argument feeds the fractional intersection bound.  A subset
-    containing an empty approval set is never counted.
-
-    Boxes share a point iff their common box's lower corner, a grid point,
-    lies in all of them, so the count is the number of ``size``-subsets
-    inside some maximal platform mask.
+    containing an empty approval set is never counted.  Each subset's
+    boxes are intersected in turn: C(n, size) intersections of at most
+    ``size`` boxes, under the box caps.
     """
     require_valid(society)
     spectrum = society.spectrum
@@ -313,7 +294,18 @@ def good_set_count(society: Society, size: int | None = None) -> int:
         raise ValueError(f"good_set_count needs size >= 1, got size={size}")
     if society.n <= spectrum.dimension:
         raise ValueError(f"need more than d={spectrum.dimension} voters, got {society.n}")
-    return _covered_subsets(list(society._platform_table.maximal), 0, size)
+    _require_box_caps(society)
+
+    count = 0
+    for subset in itertools.combinations(society.voters, size):
+        common = subset[0].approval
+        for v in subset[1:]:
+            if common is None:
+                break
+            common = None if v.approval is None else common.intersect(v.approval)
+        if common is not None:
+            count += 1
+    return count
 
 
 def good_set_lower_bound(n: int, d: int, k: int, m: int) -> Fraction:

@@ -425,18 +425,3 @@ def brute_box_depth(society: Society) -> AgreementReport:
         elif depth == best and best > 0:
             witnesses.append(point)
     return AgreementReport(best, society.n, tuple(witnesses))
-
-
-def brute_good_set_count(society: Society, size: int) -> int:
-    """Voter subsets of ``size`` whose approval sets share a point, by
-    intersecting every such subset; subsets with an empty set never count."""
-    count = 0
-    for subset in itertools.combinations(society.voters, size):
-        common = subset[0].approval
-        for v in subset[1:]:
-            if common is None:
-                break
-            common = None if v.approval is None else common.intersect(v.approval)
-        if common is not None:
-            count += 1
-    return count

@@ -349,6 +349,17 @@ class _PlatformTable:
         return tuple(kept)
 
 
+def _require_box_caps(society: Society) -> None:
+    """Raise CapExceededError for a box society past ``MAX_BOX_VOTERS``
+    voters or ``MAX_BOX_DIMENSION`` dimensions."""
+    if society.n > MAX_BOX_VOTERS:
+        raise CapExceededError(f"box societies are capped at {MAX_BOX_VOTERS} voters, got {society.n}")
+    if society.spectrum.dimension > MAX_BOX_DIMENSION:
+        raise CapExceededError(
+            f"box societies are capped at dimension {MAX_BOX_DIMENSION}, got {society.spectrum.dimension}"
+        )
+
+
 def _build_platform_table(society: Society) -> _PlatformTable:
     """The platforms a maximum depth can need, with their voter bitmasks.
 
@@ -365,18 +376,12 @@ def _build_platform_table(society: Society) -> _PlatformTable:
     the AND of its axis masks.  O(n log P + P) big-int operations per axis
     of P coordinates and O(P^d * d) ANDs for the grid, all exact.
 
-    Raises CapExceededError for a box society past ``MAX_BOX_VOTERS`` voters
-    or ``MAX_BOX_DIMENSION`` dimensions.
+    Raises CapExceededError for a box society past the box caps.
     """
     require_valid(society)
     spec = society.spectrum
     if isinstance(spec, BoxSpectrum):
-        if society.n > MAX_BOX_VOTERS:
-            raise CapExceededError(f"box societies are capped at {MAX_BOX_VOTERS} voters, got {society.n}")
-        if spec.dimension > MAX_BOX_DIMENSION:
-            raise CapExceededError(
-                f"box societies are capped at dimension {MAX_BOX_DIMENSION}, got {spec.dimension}"
-            )
+        _require_box_caps(society)
         sides = [(1 << i, v.approval.sides) for i, v in enumerate(society.voters) if v.approval is not None]
         axes = [tuple(sorted({s[a].lo for _, s in sides})) for a in range(spec.dimension)]
     else:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from agreeable import (
 )
 from agreeable.agreeability import platform_masks
 from agreeable.agreement import _order_keys
-from agreeable.oracles import brute_agreement_line, brute_box_depth, brute_good_set_count, brute_line_witnesses
+from agreeable.oracles import brute_agreement_line, brute_box_depth, brute_line_witnesses
 
 from strategies import (
     box_societies,
@@ -246,13 +247,18 @@ def test_box_depth_matches_brute_force(society):
 
 @given(pooled_societies(kinds=(1, 2, 3)))
 @settings(max_examples=200, deadline=None)
-def test_good_set_count_matches_brute_force(society):
+def test_good_set_count_matches_platform_masks(society):
+    # Boxes share a point iff their common box's lower corner, a grid point,
+    # lies in all of them: the good sets are the subsets inside some mask.
     spectrum = society.spectrum
     if society.n <= spectrum.dimension:
         return
+    masks = platform_masks(society)
     for size in range(1, spectrum.dimension + 3):
-        assert good_set_count(society, size) == brute_good_set_count(society, size), size
-    assert good_set_count(society) == brute_good_set_count(society, spectrum.dimension + 1)
+        subsets = (sum(1 << i for i in c) for c in itertools.combinations(range(society.n), size))
+        inside = sum(any(subset & m == subset for m in masks) for subset in subsets)
+        assert good_set_count(society, size) == inside, size
+    assert good_set_count(society) == good_set_count(society, spectrum.dimension + 1)
 
 
 @pytest.mark.parametrize("size", [0, -1])
