@@ -15,11 +15,17 @@ P coordinates, then O(P^d * d) ANDs for a d-box grid.  A subset S is
 *deficient* iff every platform mask meets S in at most k-1 voters.
 Deficient sets are closed under taking subsets, so a depth-first search in
 voter order that only ever extends deficient sets finds the
-lexicographically first deficient m-subset, or proves none exists.  The
-search prunes a branch when its capacity bound shows size m is out of
-reach: each further voter consumes a unit of some platform mask's
-remaining slack, so at most sum_j min(slack_j, remaining members of mask j)
-non-empty voters can still be added.
+lexicographically first deficient m-subset, or proves none exists.
+
+A search node is one int, the bitmask of the chosen voters S, with the
+voters below some index already decided.  One pass over the M maximal
+masks gives both what the node needs.  The capacity bound: each further
+voter consumes a unit of some mask's slack k-1-|S & mask|, so at most
+sum_j min(slack_j, members of mask j past the index) non-empty voters can
+still be added, and the branch is pruned when that cannot reach m.  The
+blocked voters: the union of the masks with no slack left, since adding
+any of their members would leave S not deficient.  The work is therefore
+nodes x M big-int operations.
 
 A voter with an empty approval set appears in no platform mask: it can
 never be among the k agreeing voters, and (1,m)-agreeability requires a
@@ -31,6 +37,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import CapExceededError
 from .society import Society, require_valid
@@ -96,84 +104,46 @@ def is_km_agreeable(
         )
 
     masks = platform_masks(society)
-    num_masks = len(masks)
-    member_masks: list[list[int]] = [[] for _ in range(n)]
-    for j, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            member_masks[low.bit_length() - 1].append(j)
-            mask ^= low
-
-    # remaining[j][i]: members of mask j with voter index >= i.
-    remaining = []
-    for mask in masks:
-        suffix = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + (mask >> i & 1)
-        remaining.append(suffix)
+    full = (1 << n) - 1
     # Voters in no mask approve no platform at all (empty approval set, or
     # an interval containing no candidate); they join any deficient subset.
-    free_suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        free_suffix[i] = free_suffix[i + 1] + (not member_masks[i])
-
-    counts = [0] * num_masks
-    chosen: list[int] = []
+    free = full & ~reduce(or_, masks, 0)
     budget = cap * _NODE_BUDGET_FACTOR
     nodes = 0
 
-    def enter(start: int) -> bool:
-        """Count a search node; True when ``chosen`` has size m or can reach it."""
-        nonlocal nodes
+    # Depth-first in voter order with an explicit stack, so no subset size
+    # can overflow the interpreter's recursion limit.  A node is the chosen
+    # voter set, with voters below ``start`` already decided; each stack
+    # entry is an expanded node and the voters it has still to try.
+    chosen, start, stack = 0, 0, []
+    while True:
         nodes += 1
         if nodes > budget:
             raise CapExceededError(f"subset search exceeded {budget} nodes")
-        if len(chosen) == m:
-            return True
-        reach = len(chosen) + free_suffix[start]
-        for j in range(num_masks):
-            slack = (k - 1) - counts[j]
-            if slack > 0:
-                rem = remaining[j][start]
-                reach += slack if slack < rem else rem
-            if reach >= m:
-                return True
-        return reach >= m
-
-    def drop_last() -> None:
-        for j in member_masks[chosen.pop()]:
-            counts[j] -= 1
-
-    # Depth-first in voter order with an explicit stack, so no subset size
-    # can overflow the interpreter's recursion limit: next_voter[d] is the
-    # next voter to try as the (d+1)-th member, and chosen[:d] is the path.
-    witness = None
-    next_voter = [0] if enter(0) else []
-    while next_voter:
-        i = next_voter[-1]
-        while i < n and any(counts[j] >= k - 1 for j in member_masks[i]):
-            i += 1
-        if i == n:
-            next_voter.pop()
-            if chosen:
-                drop_last()
-            continue
-        next_voter[-1] = i + 1
-        for j in member_masks[i]:
-            counts[j] += 1
-        chosen.append(i)
-        if not enter(i + 1):
-            drop_last()
-        elif len(chosen) == m:
-            witness = tuple(chosen)
-            break
-        else:
-            next_voter.append(i + 1)
-
-    if witness is None:
-        return AgreeabilityResult(True, params)
-    ids = tuple(society.voters[i].id for i in witness)
-    return AgreeabilityResult(False, params, witness=ids)
+        size = chosen.bit_count()
+        if size == m:
+            ids = tuple(v.id for i, v in enumerate(society.voters) if chosen >> i & 1)
+            return AgreeabilityResult(False, params, witness=ids)
+        reach = size + (free >> start).bit_count()
+        blocked = 0
+        for mask in masks:
+            slack = k - 1 - (chosen & mask).bit_count()
+            if slack:
+                rest = (mask >> start).bit_count()
+                reach += slack if slack < rest else rest
+            else:
+                blocked |= mask
+        if reach >= m:
+            stack.append((chosen, (full >> start << start) & ~blocked))
+        while stack and not stack[-1][1]:
+            stack.pop()
+        if not stack:
+            return AgreeabilityResult(True, params)
+        chosen, todo = stack[-1]
+        low = todo & -todo
+        stack[-1] = (chosen, todo ^ low)
+        chosen |= low
+        start = low.bit_length()
 
 
 def pigeonhole_sufficient(num_candidates: int, min_approvals_per_voter: int, params: AgreeParams) -> bool:

@@ -115,6 +115,14 @@ class FractionalHellyBound:
         root_lo, root_hi = nth_root_enclosure(self.radicand, self.degree, digits)
         return 1 - root_hi, 1 - root_lo
 
+    def to_obj(self) -> dict:
+        lo, hi = self.enclosure()
+        return {
+            "radicand": coord_str(self.radicand),
+            "degree": self.degree,
+            "enclosure": [decimal_str(lo), decimal_str(hi)],
+        }
+
     def __str__(self) -> str:
         lo, hi = self.enclosure()
         return (
@@ -159,12 +167,7 @@ class BoundEntry:
         obj: dict = {"name": self.name, "applicable": self.applicable}
         v = self.value
         if isinstance(v, FractionalHellyBound):
-            lo, hi = v.enclosure()
-            obj["value"] = {
-                "radicand": coord_str(v.radicand),
-                "degree": v.degree,
-                "enclosure": [decimal_str(lo), decimal_str(hi)],
-            }
+            obj["value"] = v.to_obj()
         elif isinstance(v, Fraction):
             obj["value"] = coord_str(v)
             obj["value_decimal"] = decimal_str(v)

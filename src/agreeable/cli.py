@@ -131,7 +131,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     from .bounds import (
         clique_bound,
         coord_str,
-        decimal_str,
         division,
         fractional_helly_bound,
         proportion_bound,
@@ -150,13 +149,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if params.m <= 2 * params.k - 2:
             obj["small_m_bound"] = small_m_bound(args.n, params)
     if args.d is not None and args.m > args.d:
-        fh = fractional_helly_bound(args.d, params)
-        lo, hi = fh.enclosure()
-        obj["fractional_helly"] = {
-            "radicand": coord_str(fh.radicand),
-            "degree": fh.degree,
-            "enclosure": [decimal_str(lo), decimal_str(hi)],
-        }
+        obj["fractional_helly"] = fractional_helly_bound(args.d, params).to_obj()
     if args.format == "json":
         print(json.dumps(obj, separators=(",", ":")))
     else:

@@ -47,7 +47,7 @@ from .oracles import (
     every_m_subset_has_k_clique,
     is_perfect_by_enumeration,
 )
-from .society import LINE, Society, Voter, dumps_society, restrict_to_candidates, to_box_society, validate
+from .society import Society, dumps_society, linear_society, restrict_to_candidates, to_box_society, validate
 
 SUITES = ("linear", "box", "graph")
 
@@ -116,6 +116,34 @@ def _km_pairs(rng: random.Random, n: int, count: int = 2, k_max: int = 6) -> lis
     return pairs
 
 
+def _farey_image(society: Society) -> Society:
+    """The line society under x -> x/(x+1).
+
+    The map keeps the order of non-negative coordinates and sends
+    consecutive integers i, i+1 to the Farey neighbours i/(i+1), (i+1)/(i+2),
+    so the sweep meets p/q endpoints as close together as their
+    denominators allow.
+    """
+    def image(x: Fraction) -> Fraction:
+        return x / (x + 1)
+
+    return linear_society(
+        [None if v.approval is None else (image(v.approval.lo), image(v.approval.hi)) for v in society.voters],
+        ids=society.voter_ids(),
+    )
+
+
+def _sweep_against_oracles(society: Society, report) -> tuple[bool, str]:
+    """Whether the sweep's report matches the endpoint oracles, and both."""
+    best = brute_agreement_line(society)
+    witnesses = brute_line_witnesses(society)
+    ok = report.agreement_number == best and report.witnesses == witnesses
+    return ok, (
+        f"sweep={report.agreement_number} oracle={best}"
+        f" witnesses={[str(w) for w in report.witnesses]} oracle_witnesses={[str(w) for w in witnesses]}"
+    )
+
+
 def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> list[PropertyResult]:
     rec = _Recorder("linear", failure_dir)
 
@@ -131,15 +159,10 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
         rec.check("generated-societies-validate", not validate(society), tag, art)
 
         report = agreement(society)
-        oracle_best = brute_agreement_line(society)
-        oracle_witnesses = brute_line_witnesses(society)
-        rec.check(
-            "sweep-matches-endpoint-oracle",
-            report.agreement_number == oracle_best and report.witnesses == oracle_witnesses,
-            f"{tag} sweep={report.agreement_number} oracle={oracle_best}"
-            f" witnesses={[str(w) for w in report.witnesses]} oracle_witnesses={[str(w) for w in oracle_witnesses]}",
-            art,
-        )
+        image = _farey_image(society)
+        ok, detail = _sweep_against_oracles(society, report)
+        image_ok, image_detail = _sweep_against_oracles(image, agreement(image))
+        rec.check("sweep-matches-endpoint-oracle", ok and image_ok, f"{tag} {detail} image: {image_detail}", art)
         for w in report.witnesses:
             depth = sum(
                 1
@@ -285,7 +308,11 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
             dimension=d,
         )
         s_seed = child_seed(seed, "box-society", t)
-        society = random_society("box", n, s_seed, config)
+        if d == 1:
+            line = random_society("line", n, s_seed, config)
+            society = to_box_society(line)
+        else:
+            society = random_society("box", n, s_seed, config)
         tag = f"seed={s_seed} n={n} d={d}"
         art = dumps_society(society)
 
@@ -302,13 +329,6 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
         )
 
         if d == 1:
-            line = Society(
-                LINE,
-                tuple(
-                    Voter(v.id, None if v.approval is None else v.approval.sides[0])
-                    for v in society.voters
-                ),
-            )
             rec.check(
                 "one-box-matches-line-agreement",
                 agreement(line).agreement_number == report.agreement_number,

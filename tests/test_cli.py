@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -202,6 +203,29 @@ def test_check_deep_search_needs_no_recursion(tmp_path):
     obj = json.loads(result.stdout)
     assert obj["agreeable"] is False
     assert obj["witness"] == [f"v{i + 1}" for i in range(1200)]
+
+
+def test_check_stops_at_the_node_budget():
+    # C(24, 21) = 2024 passes the cap, but the search needs far more than
+    # 8 * 2024 nodes to prove this society (4,21)-agreeable.
+    cli = [sys.executable, "-m", "agreeable"]
+    society = subprocess.run(
+        [*cli, "generate", "random", "--kind", "line", "--n", "24", "--seed", "2",
+         "--coord-max", "72", "--max-length", "12"],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    result = subprocess.run(
+        [*cli, "check", "-", "--k", "4", "--m", "21"],
+        input=society,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "AGREE_MAX_SUBSETS": "2024"},
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: subset search exceeded 16192 nodes\n"
 
 
 def test_check_refuses_box_society_past_the_voter_cap(tmp_path, capsys):

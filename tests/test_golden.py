@@ -1,9 +1,10 @@
 """Byte-identity gate: SHA-256 digests of outputs that must never change.
 
 The digests pin ``generate`` output, ``verify --format json`` reports,
-``analyze --format json`` reports (with their bound sheets and
-lexicographically-first agreeability witnesses) and the library tour on a
-slate (restriction, tally, agreement graph, first-fit coloring).  Any
+``analyze --format json`` and ``check --format json`` reports (with their
+bound sheets and lexicographically-first agreeability witnesses, on line,
+candidate and box societies), ``bounds --format json`` and the library tour
+on a slate (restriction, tally, agreement graph, first-fit coloring).  Any
 faster path must reproduce these bytes exactly; a changed digest means a
 changed answer, not a test to update.
 """
@@ -60,6 +61,25 @@ ANALYZE = {
     ),
     "analyze-line-km": (["generate", "random", "--kind", "line", "--n", "18", "--seed", "2"], ["--k", "3", "--m", "6"]),
 }
+
+# Box societies dense enough for both verdicts; each carries empty voters.
+# name -> (society generator argv, (k, m) agreeable, (k, m) with a witness)
+BOX_KM = {
+    "box2": (
+        ["generate", "random", "--kind", "box", "--n", "12", "--seed", "5", "--d", "2",
+         "--coord-max", "5", "--min-length", "2", "--empty-percent", "10"],
+        (3, 7),
+        (3, 6),
+    ),
+    "box3": (
+        ["generate", "random", "--kind", "box", "--n", "12", "--seed", "4", "--d", "3",
+         "--coord-max", "5", "--min-length", "2", "--empty-percent", "10"],
+        (3, 7),
+        (3, 6),
+    ),
+}
+
+BOUNDS = {"bounds": ["bounds", "--k", "4", "--m", "15", "--n", "21", "--d", "2", "--format", "json"]}
 
 # (voters, candidates on the slate, seed) for the library tour.
 TOURS = ((100, 10, 1), (280, 28, 2), (500, 50, 3))
@@ -122,6 +142,15 @@ GOLDEN = {
     "analyze-line-km": "100243e4f2888713869d5235c4fe86004262a53920625ace045621771af585db",
     "analyze-rational-candidates": "8c06beb7411707a8d4159c39c395c0fe95645aefcc9dd02491c807d3c2242eff",
     "analyze-rational-candidates-km": "3a6fcbe9542af0adc8b67669e829cd19b6582106e53cfa0ff548b46bba278e06",
+    "check-box2-agreeable": "448469d4adee071d35fb2fa1e5720376dc1b21b1e9b0f8cc313a283d9aa41bb7",
+    "check-box2-witness": "cfec7c972e3d80c9f265dc005127a59509e14aed72974d9f650beb7cd578b953",
+    "analyze-box2-agreeable": "1a653a3f4b7ef5fdc20423381b30f3ea67f02ef5303de0f7fd028adc8ba00925",
+    "analyze-box2-witness": "dc9933eb5461db5c13b703a2657e29c34b21ae2f6c3446ec4aceb45692841b11",
+    "check-box3-agreeable": "448469d4adee071d35fb2fa1e5720376dc1b21b1e9b0f8cc313a283d9aa41bb7",
+    "check-box3-witness": "56019c00382b54123a18266f78f0d5f122646410e2f18cf0b5fdc6c2c46e52d8",
+    "analyze-box3-agreeable": "bc49ad2f766f0ffa282f190ed1409f457ce573ff775b709612d9490cea710038",
+    "analyze-box3-witness": "928783a5e73618d058283d7989a23e05bbcd0fae6945c0b9b8219f8186d148f6",
+    "bounds": "3fe994008e44ce634c0a5bb524165b2983b3c4107aa0a2c50566b42e6aa9a084",
     "tour-100-restrict": "f9c03752fd516fd6d94f7702f4843c660e15567b9966ec29bd9aadcd859af560",
     "tour-100-tally": "acd1ea25ff47d52d9a863b6c678e3b36a6bf9abab472a8ee27da6f123353dad7",
     "tour-100-graph": "724dbd4d1c8b30789a0e666918604e5df6ca3c892c57dffa7ec448173bac4ada",
@@ -141,9 +170,9 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GENERATE) + sorted(VERIFY))
+@pytest.mark.parametrize("name", sorted(GENERATE) + sorted(VERIFY) + sorted(BOUNDS))
 def test_cli_output_digest(name, capsys):
-    argv = GENERATE.get(name) or VERIFY[name]
+    argv = GENERATE.get(name) or VERIFY.get(name) or BOUNDS[name]
     assert _digest(_run(argv, capsys)) == GOLDEN[name]
 
 
@@ -154,6 +183,18 @@ def test_analyze_digest(name, capsys, tmp_path):
     path.write_bytes(_run(generate_argv, capsys))
     out = _run(["analyze", str(path), "--format", "json", *flags], capsys)
     assert _digest(out) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("verdict", ["agreeable", "witness"])
+@pytest.mark.parametrize("command", ["check", "analyze"])
+@pytest.mark.parametrize("box", sorted(BOX_KM))
+def test_box_km_digest(box, command, verdict, capsys, tmp_path):
+    generate_argv, agreeable_km, witness_km = BOX_KM[box]
+    k, m = agreeable_km if verdict == "agreeable" else witness_km
+    path = tmp_path / "society.json"
+    path.write_bytes(_run(generate_argv, capsys))
+    out = _run([command, str(path), "--format", "json", "--k", str(k), "--m", str(m)], capsys)
+    assert _digest(out) == GOLDEN[f"{command}-{box}-{verdict}"]
 
 
 @pytest.mark.parametrize("flags", [[], ["--k", "3", "--m", "4"]], ids=["plain", "km"])
