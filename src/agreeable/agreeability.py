@@ -54,6 +54,19 @@ def subset_cap() -> int:
     return int(raw) if raw else DEFAULT_SUBSET_CAP
 
 
+def _require_subset_cap(n: int, m: int, cap: int | None = None) -> int:
+    """Raise CapExceededError when C(n, m) exceeds the cap; return the cap.
+
+    ``cap`` defaults to :func:`subset_cap`.
+    """
+    if cap is None:
+        cap = subset_cap()
+    count = math.comb(n, m)
+    if count > cap:
+        raise CapExceededError(f"C({n},{m}) = {count} exceeds the enumeration cap {cap}")
+    return cap
+
+
 @dataclass(frozen=True)
 class AgreeParams:
     """The pair (k, m) with 1 <= k <= m."""
@@ -96,12 +109,7 @@ def is_km_agreeable(
     k, m = params.k, params.m
     if n < m:
         raise ValueError(f"society has {n} voters but m={m}")
-    if cap is None:
-        cap = subset_cap()
-    if math.comb(n, m) > cap:
-        raise CapExceededError(
-            f"C({n},{m}) = {math.comb(n, m)} exceeds the enumeration cap {cap}"
-        )
+    cap = _require_subset_cap(n, m, cap)
 
     masks = platform_masks(society)
     full = (1 << n) - 1

@@ -90,10 +90,6 @@ class AgreementReport:
         return obj
 
 
-def _line_intervals(society: Society) -> list[Interval]:
-    return [v.approval for v in society.voters if isinstance(v.approval, Interval)]
-
-
 def _order_keys(values: list[Coord]) -> list[int]:
     """Exact integer order keys: ``keys[i] < keys[j]`` iff ``values[i] < values[j]``.
 
@@ -180,7 +176,7 @@ def agreement(society: Society) -> AgreementReport:
     spectrum = society.spectrum
 
     if isinstance(spectrum, LineSpectrum):
-        best, witnesses = _sweep(_line_intervals(society))
+        best, witnesses = _sweep([iv for iv in society._intervals if iv is not None])
         return AgreementReport(best, society.n, witnesses)
 
     if isinstance(spectrum, CandidateSpectrum):
@@ -202,6 +198,15 @@ def agreement(society: Society) -> AgreementReport:
     return _box_agreement(society)
 
 
+def _consensus_ends(society: Society) -> tuple[Coord, Coord]:
+    """The largest left and the smallest right endpoint over all approval
+    sets; raises if any approval set is empty."""
+    empties = [v.id for v in society.voters if v.approval is None]
+    if empties:
+        raise ValueError(f"voters with empty approval sets: {', '.join(empties)}")
+    return max(v.approval.lo for v in society.voters), min(v.approval.hi for v in society.voters)
+
+
 def common_platform(society: Society) -> Interval | None:
     """The platforms approved by *every* voter, if any.
 
@@ -215,12 +220,7 @@ def common_platform(society: Society) -> Interval | None:
     require_valid(society)
     if isinstance(society.spectrum, BoxSpectrum):
         raise ValueError("common_platform applies to line or candidate societies")
-    empties = [v.id for v in society.voters if v.approval is None]
-    if empties:
-        raise ValueError(f"voters with empty approval sets: {', '.join(empties)}")
-
-    x = max(v.approval.lo for v in society.voters)
-    y = min(v.approval.hi for v in society.voters)
+    x, y = _consensus_ends(society)
     if x > y:
         return None
     if isinstance(society.spectrum, CandidateSpectrum):
@@ -255,9 +255,7 @@ def two_platform_cover(society: Society) -> TwoPlatformCover:
     require_valid(society)
     if not isinstance(society.spectrum, LineSpectrum):
         raise ValueError("two_platform_cover applies to line societies")
-    empties = [v.id for v in society.voters if v.approval is None]
-    if empties:
-        raise ValueError(f"voters with empty approval sets: {', '.join(empties)}")
+    x, y = _consensus_ends(society)
 
     from .agreeability import AgreeParams, is_km_agreeable
 
@@ -265,8 +263,6 @@ def two_platform_cover(society: Society) -> TwoPlatformCover:
     if not check.agreeable:
         raise ValueError(f"society is not (2,3)-agreeable; witness {check.witness}")
 
-    x = max(v.approval.lo for v in society.voters)
-    y = min(v.approval.hi for v in society.voters)
     count_x = sum(1 for v in society.voters if v.approval.contains(x))
     count_y = sum(1 for v in society.voters if v.approval.contains(y))
     cover = TwoPlatformCover(x, y, count_x, count_y)

@@ -149,9 +149,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if params.m <= 2 * params.k - 2:
             obj["small_m_bound"] = small_m_bound(args.n, params)
     if args.d is not None and args.m > args.d:
-        obj["fractional_helly"] = fractional_helly_bound(args.d, params).to_obj()
+        obj["fractional_helly"] = fractional_helly_bound(args.d, params)
     if args.format == "json":
-        print(json.dumps(obj, separators=(",", ":")))
+        print(json.dumps(obj, separators=(",", ":"), default=lambda bound: bound.to_obj()))
     else:
         for key, value in obj.items():
             print(f"{key}: {value}")

@@ -1,13 +1,15 @@
 """Agreement graphs, interval-graph coloring and graph plumbing.
 
 The agreement graph of a society joins two voters whenever their approval
-sets intersect.  For line and candidate societies this is an interval
-graph, whose clique number equals the society's agreement number; the
-first-fit coloring below realizes that equality constructively.
+sets intersect.  For line, candidate and 1-box societies this is an
+interval graph, whose clique number equals the society's agreement number;
+the first-fit coloring below realizes that equality constructively.
 
-On interval representations both run on sorted endpoints: the graph in
-O(n log n + E) for E edges, the coloring in O(n log n).  Box societies of
-dimension d >= 2 test every pair of voters, O(n^2 d).
+Both read the society's interval view, ``Society._intervals`` (the
+interval, the candidate hull or the 1-box side of each voter), and run on
+sorted endpoints: the graph in O(n log n + E) for E edges, the coloring in
+O(n log n).  Boxes with d >= 2 have no interval view: their graph tests
+every pair of voters, O(n^2 d), and the coloring refuses them.
 """
 
 from __future__ import annotations
@@ -18,16 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .society import (
-    Box,
-    BoxSpectrum,
-    CandidateSpectrum,
-    Coord,
-    Interval,
-    Society,
-    _candidate_hull,
-    require_valid,
-)
+from .society import BoxSpectrum, Coord, Society, require_valid
 
 
 @dataclass(frozen=True)
@@ -128,37 +121,13 @@ class Coloring:
         return all(self.assignment[u] != self.assignment[v] for u, v in graph.edges)
 
 
-def _representing_intervals(society: Society) -> list[tuple[str, Interval | None]]:
-    """Per-voter intervals that represent the agreement graph exactly.
-
-    For a candidate spectrum each interval is shrunk to the minimal closed
-    interval spanning the voter's approved candidates; two such hulls
-    intersect precisely when the voters share an approved candidate.
-    """
-    spectrum = society.spectrum
-    out: list[tuple[str, Interval | None]] = []
-    if isinstance(spectrum, CandidateSpectrum):
-        for v in society.voters:
-            iv = v.approval if isinstance(v.approval, Interval) else None
-            out.append((v.id, _candidate_hull(iv, spectrum.candidates)))
-    else:
-        for v in society.voters:
-            iv = v.approval
-            if isinstance(iv, Box):
-                if iv.dimension != 1:
-                    raise ValueError("no interval representation for boxes with d >= 2")
-                iv = iv.sides[0]
-            out.append((v.id, iv))
-    return out
-
-
 def agreement_graph(society: Society) -> Graph:
     """Graph on the voters with edges between intersecting approval sets."""
     require_valid(society)
     spectrum = society.spectrum
     ids = society.voter_ids()
 
-    if isinstance(spectrum, BoxSpectrum):
+    if isinstance(spectrum, BoxSpectrum) and spectrum.dimension >= 2:
         approvals = [v.approval for v in society.voters]
         edges = set()
         for i in range(len(ids)):
@@ -173,12 +142,12 @@ def agreement_graph(society: Society) -> Graph:
 
     # Sorted by left endpoint, an interval meets exactly the intervals after
     # it whose left endpoint is at most its right endpoint: a contiguous run.
-    reps = _representing_intervals(society)
-    order = sorted((i for i, (_, iv) in enumerate(reps) if iv is not None), key=lambda i: reps[i][1].lo)
-    los = [reps[i][1].lo for i in order]
+    reps = society._intervals
+    order = sorted((i for i, iv in enumerate(reps) if iv is not None), key=lambda i: reps[i].lo)
+    los = [reps[i].lo for i in order]
     edges = set()
     for p, i in enumerate(order):
-        for j in order[p + 1 : bisect_right(los, reps[i][1].hi, p + 1)]:
+        for j in order[p + 1 : bisect_right(los, reps[i].hi, p + 1)]:
             edges.add((ids[i], ids[j]) if i < j else (ids[j], ids[i]))
     return Graph(ids, frozenset(edges))
 
@@ -198,11 +167,7 @@ def greedy_interval_coloring(society: Society) -> Coloring:
     The neighbors are tracked with a max-heap on left endpoints and the
     free colors with a min-heap, so the whole pass is O(n log n).
     """
-    require_valid(society)
-    if isinstance(society.spectrum, BoxSpectrum) and society.spectrum.dimension >= 2:
-        raise ValueError("coloring requires an interval representation (line, candidates or 1-box)")
-
-    reps = _representing_intervals(society)
+    reps = list(zip(society.voter_ids(), society._intervals))
     empties = [(vid, iv) for vid, iv in reps if iv is None]
     filled = [(vid, iv) for vid, iv in reps if iv is not None]
     # sorted() is stable: equal right endpoints keep society order.
@@ -234,21 +199,22 @@ def greedy_interval_coloring(society: Society) -> Coloring:
 
 
 def clique_number_linear(society: Society) -> int:
-    """Clique number of the agreement graph of a line/candidate society.
+    """Clique number of the agreement graph of a line, candidate or 1-box society.
 
-    Equals the agreement number: a clique's approval sets pairwise
-    intersect, so on the line they share a platform.  The greedy coloring
-    provides the matching upper bound and is checked against it (skipped
-    in the degenerate all-empty society, where the lone isolated-vertex
-    color exceeds the agreement number 0); a mismatch raises RuntimeError.
+    Equals the agreement number: a clique's intervals pairwise intersect,
+    so on the line they share a platform.  The greedy coloring provides the
+    matching upper bound and is checked against it; a mismatch raises
+    RuntimeError.  When no voter has an interval (every approval set empty,
+    or no candidate approved) the agreement number is 0 and the coloring,
+    which would give the isolated voters one color, is skipped.  Raises
+    ValueError for boxes with d >= 2.
     """
     from .agreement import agreement
 
-    if isinstance(society.spectrum, BoxSpectrum) and society.spectrum.dimension >= 2:
-        raise ValueError("clique_number_linear applies to societies with interval representations")
+    if all(iv is None for iv in society._intervals):
+        return 0
     number = agreement(society).agreement_number
-    if any(v.approval is not None for v in society.voters):
-        colors = greedy_interval_coloring(society).num_colors
-        if colors != number:
-            raise RuntimeError(f"greedy coloring used {colors} colors for agreement number {number}")
+    colors = greedy_interval_coloring(society).num_colors
+    if colors != number:
+        raise RuntimeError(f"greedy coloring used {colors} colors for agreement number {number}")
     return number

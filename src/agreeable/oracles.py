@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .agreeability import AgreeParams, subset_cap
+from .agreeability import AgreeParams, _require_subset_cap
 from .agreement import AgreementReport
 from .errors import CapExceededError
 from .graphs import Coloring, Graph
@@ -219,16 +219,11 @@ def every_m_subset_has_k_clique(graph: Graph, params: AgreeParams, cap: int | No
     This is the purely graph-theoretic hypothesis shared by the coloring
     and small-m bounds, checked here independently of any geometry.
     """
-    import math
-
     n = graph.n
     k, m = params.k, params.m
     if n < m:
         raise ValueError(f"graph has {n} vertices but m={m}")
-    if cap is None:
-        cap = subset_cap()
-    if math.comb(n, m) > cap:
-        raise CapExceededError(f"C({n},{m}) exceeds the enumeration cap {cap}")
+    _require_subset_cap(n, m, cap)
     adj = _adjacency_masks(graph)
     for subset in itertools.combinations(range(n), m):
         if not _has_clique_of_size(list(subset), adj, k):

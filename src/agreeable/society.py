@@ -195,6 +195,26 @@ class Society:
         """:func:`_build_platform_table`'s table, built on first use."""
         return _build_platform_table(self)
 
+    @cached_property
+    def _intervals(self) -> tuple[Interval | None, ...]:
+        """Each voter's approval set as one closed interval, built on first use.
+
+        The interval itself on the line, the hull of the approved candidates
+        on a slate (two hulls meet iff the voters share a candidate), the one
+        side of a 1-box; None for a voter approving nothing.  The agreement
+        graph is the intersection graph of these intervals.  Raises
+        ValueError for a malformed society and for boxes with d >= 2.
+        """
+        require_valid(self)
+        spec = self.spectrum
+        if isinstance(spec, BoxSpectrum):
+            if spec.dimension != 1:
+                raise ValueError("no interval representation for boxes with d >= 2")
+            return tuple(None if v.approval is None else v.approval.sides[0] for v in self.voters)
+        if isinstance(spec, CandidateSpectrum):
+            return tuple(_candidate_hull(v.approval, spec.candidates) for v in self.voters)
+        return tuple(v.approval for v in self.voters)
+
     def voter_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.voters)
 
@@ -382,14 +402,17 @@ def _build_platform_table(society: Society) -> _PlatformTable:
     spec = society.spectrum
     if isinstance(spec, BoxSpectrum):
         _require_box_caps(society)
-        sides = [(1 << i, v.approval.sides) for i, v in enumerate(society.voters) if v.approval is not None]
-        axes = [tuple(sorted({s[a].lo for _, s in sides})) for a in range(spec.dimension)]
+    # A line interval is the one side of a 1-box.
+    sides = [
+        (1 << i, v.approval.sides if isinstance(v.approval, Box) else (v.approval,))
+        for i, v in enumerate(society.voters)
+        if v.approval is not None
+    ]
+    if isinstance(spec, CandidateSpectrum):
+        axes = [spec.candidates]
     else:
-        sides = [(1 << i, (v.approval,)) for i, v in enumerate(society.voters) if v.approval is not None]
-        if isinstance(spec, CandidateSpectrum):
-            axes = [spec.candidates]
-        else:
-            axes = [tuple(sorted({s[0].lo for _, s in sides}))]
+        dimension = spec.dimension if isinstance(spec, BoxSpectrum) else 1
+        axes = [tuple(sorted({s[a].lo for _, s in sides})) for a in range(dimension)]
 
     masks = [-1]
     for a, axis in enumerate(axes):

@@ -252,6 +252,12 @@ def test_bounds_command(capsys):
     assert "fractional_helly" in out
 
 
+def test_bounds_text_prints_the_fractional_helly_bound(capsys):
+    code, out, _ = run_cli(["bounds", "--k", "4", "--m", "15", "--n", "21", "--d", "2"], capsys=capsys)
+    assert code == 0
+    assert "fractional_helly: 1 - (451/455)^(1/3) in [0.002939, 0.00294]\n" in out
+
+
 def test_verify_command_passes(capsys):
     code, out, _ = run_cli(["verify", "--suite", "graph", "--trials", "10", "--seed", "1"], capsys=capsys)
     assert code == 0

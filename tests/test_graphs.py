@@ -8,13 +8,16 @@ from agreeable import (
     agreement,
     agreement_graph,
     box_society,
+    candidate_society,
     clique_number_linear,
     extremal_linear,
     five_cycle_boxes,
     greedy_interval_coloring,
     linear_society,
+    make_interval,
     random_society,
     restrict_to_candidates,
+    to_box_society,
 )
 from agreeable.generators import RandomConfig
 from agreeable.graphs import Graph, graph_from_edges
@@ -126,6 +129,26 @@ def test_greedy_rejects_wide_boxes():
     assert greedy_interval_coloring(one_box).num_colors == 2
 
 
+def test_interval_view_by_spectrum():
+    a, b = make_interval(0, 4), make_interval(5, 6)
+    line = linear_society([a, None, b])
+    assert line._intervals == (a, None, b)
+    # Candidate hulls: the second voter approves no candidate.
+    slate = candidate_society([1, 3, 7], [(0, 4), (5, 6), None])
+    assert slate._intervals == (make_interval(1, 3), None, None)
+    assert to_box_society(line)._intervals == (a, None, b)
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_wide_boxes_have_no_interval_view(dimension):
+    society = box_society([[(0, 1)] * dimension, None, [(1, 2)] * dimension])
+    message = "no interval representation for boxes with d >= 2"
+    for compute in (lambda s: s._intervals, greedy_interval_coloring, clique_number_linear):
+        with pytest.raises(ValueError, match=message):
+            compute(society)
+    assert agreement_graph(society).edges == {("v1", "v3")}
+
+
 @given(line_societies(max_n=9))
 @settings(max_examples=120)
 def test_greedy_is_proper_and_optimal(society):
@@ -140,6 +163,13 @@ def test_clique_number_linear(seven_voter_society, consensus_candidate_society):
     assert clique_number_linear(seven_voter_society) == 4
     assert clique_number_linear(consensus_candidate_society) == 6
     assert clique_number_linear(linear_society([(0, 1), (2, 3)])) == 1
+
+
+def test_clique_number_linear_when_no_voter_approves_a_candidate():
+    # Non-empty intervals between the candidates: agreement number 0.
+    society = candidate_society([0, 10], [(2, 3), (4, 5), None])
+    assert agreement(society).agreement_number == 0
+    assert clique_number_linear(society) == 0
 
 
 @given(line_societies(max_n=9))

@@ -10,6 +10,7 @@ from agreeable import (
     agreement_graph,
     candidate_society,
     extremal_linear,
+    is_km_agreeable,
     linear_society,
     make_interval,
 )
@@ -70,6 +71,14 @@ def test_oracle_caps():
         check_cover_lemma(edgeless(15))
     with pytest.raises(CapExceededError):
         every_m_subset_has_k_clique(complete(12), AgreeParams(2, 6), cap=10)
+
+
+def test_subset_caps_share_one_message(seven_voter_society):
+    message = r"C\(7,3\) = 35 exceeds the enumeration cap 34"
+    with pytest.raises(CapExceededError, match=message):
+        every_m_subset_has_k_clique(agreement_graph(seven_voter_society), AgreeParams(2, 3), cap=34)
+    with pytest.raises(CapExceededError, match=message):
+        is_km_agreeable(seven_voter_society, AgreeParams(2, 3), cap=34)
 
 
 @given(graphs(max_n=8))
