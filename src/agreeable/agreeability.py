@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
+from ._frozen import Frozen, set_field
 from .errors import CapExceededError
 from .society import Society, require_valid
 
@@ -67,25 +67,27 @@ def _require_subset_cap(n: int, m: int, cap: int | None = None) -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class AgreeParams:
+class AgreeParams(Frozen):
     """The pair (k, m) with 1 <= k <= m."""
 
-    k: int
-    m: int
+    __slots__ = ("k", "m")
 
-    def __post_init__(self):
-        if not (1 <= self.k <= self.m):
-            raise ValueError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
+    def __init__(self, k: int, m: int):
+        if not (1 <= k <= m):
+            raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+        set_field(self, "k", k)
+        set_field(self, "m", m)
 
 
-@dataclass(frozen=True)
-class AgreeabilityResult:
-    agreeable: bool
-    params: AgreeParams
-    # For a negative verdict: the lexicographically first (in voter order)
-    # m-subset with no platform approved by k of its members.
-    witness: tuple[str, ...] | None = None
+class AgreeabilityResult(Frozen):
+    __slots__ = ("agreeable", "params", "witness")
+
+    def __init__(self, agreeable: bool, params: AgreeParams, witness: tuple[str, ...] | None = None):
+        set_field(self, "agreeable", agreeable)
+        set_field(self, "params", params)
+        # For a negative verdict: the lexicographically first (in voter
+        # order) m-subset with no platform approved by k of its members.
+        set_field(self, "witness", witness)
 
 
 def platform_masks(society: Society) -> list[int]:

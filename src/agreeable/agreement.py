@@ -8,13 +8,13 @@ Costs: the line sweep is O(n log n) comparisons of plain ints.  Each
 endpoint p/q becomes the integer key (p << s) // q, with s = 2b + 1 for the
 largest denominator bit length b: distinct endpoints differ by more than
 2**-2b, so the keys order them exactly and no Fraction is hashed or
-compared while counting, sorting and merging.  The candidate tally bisects
-each voter's interval into the slate and accumulates a difference array,
-O(n log c + c) for c candidates.  Box depth reads the voter count of each
-point of the grid of per-axis lower endpoints from the society's cached
-platform masks: O(n log P + P) big-int operations per axis of P
-coordinates and O(P^d * d) ANDs for the grid, capped at 30 voters and 3
-dimensions.
+compared while counting, sorting and merging.  The candidate tally reads
+each voter's run of the slate, bisected once per society
+(``Society._candidate_runs``), into a difference array, O(n log c + c)
+for c candidates.  Box depth reads the voter count of each point of the
+grid of per-axis lower endpoints from the society's cached platform
+masks: O(n log P + P) big-int operations per axis of P coordinates and
+O(P^d * d) ANDs for the grid, capped at 30 voters and 3 dimensions.
 
 Closed-interval semantics enter the computation in two places: the line
 sweep processes interval starts before interval ends at equal coordinates,
@@ -28,10 +28,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
+from ._frozen import Frozen, set_field
 from .society import (
     BoxSpectrum,
     CandidateSpectrum,
@@ -39,7 +38,6 @@ from .society import (
     Interval,
     LineSpectrum,
     Society,
-    _candidate_range,
     _coord_to_json,
     _require_box_caps,
     coord_str,
@@ -47,8 +45,7 @@ from .society import (
 )
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(Frozen):
     """Result of an agreement computation.
 
     ``witnesses`` holds every optimal platform, in a spectrum-dependent
@@ -61,10 +58,13 @@ class AgreementReport:
     intervals cannot express, so ``witnesses`` is empty in that one case.
     """
 
-    agreement_number: int
-    n: int
-    witnesses: tuple
-    per_candidate: Optional[dict] = field(default=None)
+    __slots__ = ("agreement_number", "n", "witnesses", "per_candidate")
+
+    def __init__(self, agreement_number: int, n: int, witnesses: tuple, per_candidate: dict | None = None):
+        set_field(self, "agreement_number", agreement_number)
+        set_field(self, "n", n)
+        set_field(self, "witnesses", witnesses)
+        set_field(self, "per_candidate", per_candidate)
 
     @property
     def proportion(self) -> Fraction:
@@ -184,12 +184,10 @@ def agreement(society: Society) -> AgreementReport:
         # -1 just past its end; prefix sums give every candidate's tally.
         cs = spectrum.candidates
         diff = [0] * (len(cs) + 1)
-        for v in society.voters:
-            if isinstance(v.approval, Interval):
-                span = _candidate_range(v.approval, cs)
-                if span is not None:
-                    diff[span[0]] += 1
-                    diff[span[1]] -= 1
+        for span in society._candidate_runs:
+            if span is not None:
+                diff[span[0]] += 1
+                diff[span[1]] -= 1
         tally = dict(zip(cs, itertools.accumulate(diff)))
         best = max(tally.values())
         witnesses = tuple(c for c in spectrum.candidates if tally[c] == best)
@@ -229,14 +227,16 @@ def common_platform(society: Society) -> Interval | None:
     return Interval(x, y)
 
 
-@dataclass(frozen=True)
-class TwoPlatformCover:
+class TwoPlatformCover(Frozen):
     """Two platforms such that every approval set contains at least one."""
 
-    x: Coord
-    y: Coord
-    count_x: int
-    count_y: int
+    __slots__ = ("x", "y", "count_x", "count_y")
+
+    def __init__(self, x: Coord, y: Coord, count_x: int, count_y: int):
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "count_x", count_x)
+        set_field(self, "count_y", count_y)
 
     @property
     def best_count(self) -> int:

@@ -17,21 +17,23 @@ digits appear only in display output, as certified enclosures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from ._frozen import Frozen, set_field
 from .agreeability import AgreeParams, AgreeabilityResult, is_km_agreeable
 from .agreement import AgreementReport, agreement
 from .society import BoxSpectrum, Society, coord_str
 
 
-@dataclass(frozen=True)
-class Division:
+class Division(Frozen):
     """The division with remainder m - 1 = (k-1)*q + rho, 0 <= rho <= k-2."""
 
-    q: int
-    rho: int
+    __slots__ = ("q", "rho")
+
+    def __init__(self, q: int, rho: int):
+        set_field(self, "q", q)
+        set_field(self, "rho", rho)
 
 
 def division(params: AgreeParams) -> Division:
@@ -92,8 +94,7 @@ def decimal_str(value: Fraction, sig_digits: int = 6) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-@dataclass(frozen=True)
-class FractionalHellyBound:
+class FractionalHellyBound(Frozen):
     """The proportion bound 1 - radicand**(1/degree), kept exact.
 
     ``radicand`` is 1 - C(k,d+1)/C(m,d+1) and ``degree`` is d+1.  The value
@@ -102,8 +103,11 @@ class FractionalHellyBound:
     (1 - proportion)**degree <= radicand, a comparison of rationals.
     """
 
-    radicand: Fraction
-    degree: int
+    __slots__ = ("radicand", "degree")
+
+    def __init__(self, radicand: Fraction, degree: int):
+        set_field(self, "radicand", radicand)
+        set_field(self, "degree", degree)
 
     def satisfied_by(self, proportion: Fraction) -> bool:
         shortfall = 1 - proportion
@@ -155,13 +159,17 @@ def small_m_bound(n: int, params: AgreeParams) -> int:
     return n - m + k
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    name: str
-    applicable: bool
-    value: object = None
-    satisfied: bool | None = None
-    note: str = ""
+class BoundEntry(Frozen):
+    __slots__ = ("name", "applicable", "value", "satisfied", "note")
+
+    def __init__(
+        self, name: str, applicable: bool, value: object = None, satisfied: bool | None = None, note: str = ""
+    ):
+        set_field(self, "name", name)
+        set_field(self, "applicable", applicable)
+        set_field(self, "value", value)
+        set_field(self, "satisfied", satisfied)
+        set_field(self, "note", note)
 
     def to_obj(self) -> dict:
         obj: dict = {"name": self.name, "applicable": self.applicable}
@@ -180,20 +188,30 @@ class BoundEntry:
         return obj
 
 
-@dataclass(frozen=True)
-class BoundSheet:
+class BoundSheet(Frozen):
     """Every applicable guarantee for one (society, k, m), with verdicts.
 
     ``vacuous`` is set when the society is not (k,m)-agreeable: the
     theorems then promise nothing, and no entry carries a verdict.
     """
 
-    params: AgreeParams
-    n: int
-    agreement_number: int
-    vacuous: bool
-    entries: tuple[BoundEntry, ...]
-    agreeability_witness: tuple[str, ...] | None = field(default=None)
+    __slots__ = ("params", "n", "agreement_number", "vacuous", "entries", "agreeability_witness")
+
+    def __init__(
+        self,
+        params: AgreeParams,
+        n: int,
+        agreement_number: int,
+        vacuous: bool,
+        entries: tuple[BoundEntry, ...],
+        agreeability_witness: tuple[str, ...] | None = None,
+    ):
+        set_field(self, "params", params)
+        set_field(self, "n", n)
+        set_field(self, "agreement_number", agreement_number)
+        set_field(self, "vacuous", vacuous)
+        set_field(self, "entries", entries)
+        set_field(self, "agreeability_witness", agreeability_witness)
 
     @property
     def all_satisfied(self) -> bool:

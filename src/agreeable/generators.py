@@ -12,8 +12,8 @@ bit-for-bit; see README for the exact order of draws.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from ._frozen import Frozen, set_field
 from .agreeability import AgreeParams
 from .bounds import division
 from .graphs import Graph
@@ -108,29 +108,40 @@ def five_cycle_boxes() -> Society:
     )
 
 
-@dataclass(frozen=True)
-class RandomConfig:
+class RandomConfig(Frozen):
     """Coordinate ranges and shape for random societies.
 
     All draws are integers, so every generated coordinate is exact.
     ``empty_percent`` voters (in expectation) get an empty approval set.
     """
 
-    coord_min: int = 0
-    coord_max: int = 12
-    min_length: int = 0
-    max_length: int = 8
-    empty_percent: int = 0
-    num_candidates: int = 6
-    dimension: int = 2
+    __slots__ = (
+        "coord_min", "coord_max", "min_length", "max_length", "empty_percent", "num_candidates", "dimension"
+    )
 
-    def __post_init__(self):
-        if self.coord_min > self.coord_max:
+    def __init__(
+        self,
+        coord_min: int = 0,
+        coord_max: int = 12,
+        min_length: int = 0,
+        max_length: int = 8,
+        empty_percent: int = 0,
+        num_candidates: int = 6,
+        dimension: int = 2,
+    ):
+        if coord_min > coord_max:
             raise ValueError("coord_min > coord_max")
-        if not (0 <= self.min_length <= self.max_length):
+        if not (0 <= min_length <= max_length):
             raise ValueError("need 0 <= min_length <= max_length")
-        if not (0 <= self.empty_percent <= 100):
+        if not (0 <= empty_percent <= 100):
             raise ValueError("empty_percent out of range")
+        set_field(self, "coord_min", coord_min)
+        set_field(self, "coord_max", coord_max)
+        set_field(self, "min_length", min_length)
+        set_field(self, "max_length", max_length)
+        set_field(self, "empty_percent", empty_percent)
+        set_field(self, "num_candidates", num_candidates)
+        set_field(self, "dimension", dimension)
 
 
 def _draw_interval(rng: random.Random, config: RandomConfig) -> Interval:

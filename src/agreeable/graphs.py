@@ -17,34 +17,35 @@ from __future__ import annotations
 import heapq
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._frozen import Frozen, set_field
 from .society import BoxSpectrum, Coord, Society, require_valid
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Undirected graph with ordered vertices and normalized edges.
 
     Edges are stored as (u, v) pairs with u preceding v in vertex order, so
-    serialization and iteration are deterministic.
+    serialization and iteration are deterministic.  The ``__dict__`` slot
+    holds the cached properties.
     """
 
-    vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    __slots__ = ("vertices", "edges", "__dict__")
 
-    def __post_init__(self):
-        index = {v: i for i, v in enumerate(self.vertices)}
-        if len(index) != len(self.vertices):
+    def __init__(self, vertices: tuple[str, ...], edges: frozenset[tuple[str, str]]):
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
             raise ValueError("duplicate vertices")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at {u}")
             if u not in index or v not in index:
                 raise ValueError(f"edge ({u}, {v}) uses unknown vertices")
             if index[u] > index[v]:
                 raise ValueError(f"edge ({u}, {v}) not in vertex order")
+        set_field(self, "vertices", vertices)
+        set_field(self, "edges", edges)
 
     @property
     def n(self) -> int:
@@ -107,11 +108,13 @@ def graph_from_edges(vertices, edges) -> Graph:
     return Graph(vertices, frozenset(normalized))
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Frozen):
     """A proper coloring: voter id -> color index in 1..num_colors."""
 
-    assignment: dict
+    __slots__ = ("assignment",)
+
+    def __init__(self, assignment: dict):
+        set_field(self, "assignment", assignment)
 
     @property
     def num_colors(self) -> int:

@@ -11,8 +11,8 @@ never silently approximates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._frozen import Frozen, set_field
 from .agreeability import AgreeParams, _require_subset_cap
 from .agreement import AgreementReport
 from .errors import CapExceededError
@@ -123,12 +123,14 @@ def is_perfect_by_enumeration(graph: Graph) -> bool:
     return all(omega[mask] == chi[mask] for mask in range(len(omega)))
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(Frozen):
     """A minimum vertex cover with its exhaustively-proved size."""
 
-    cover: tuple[str, ...]
-    size: int
+    __slots__ = ("cover", "size")
+
+    def __init__(self, cover: tuple[str, ...], size: int):
+        set_field(self, "cover", cover)
+        set_field(self, "size", size)
 
 
 def _edge_index_pairs(graph: Graph) -> list[tuple[int, int]]:
@@ -162,11 +164,13 @@ def brute_min_vertex_cover(graph: Graph) -> CoverCertificate:
     raise AssertionError("the full vertex set always covers")
 
 
-@dataclass(frozen=True)
-class CoverLemmaReport:
-    hypothesis_holds: bool
-    conclusion_holds: bool
-    cover_size: int
+class CoverLemmaReport(Frozen):
+    __slots__ = ("hypothesis_holds", "conclusion_holds", "cover_size")
+
+    def __init__(self, hypothesis_holds: bool, conclusion_holds: bool, cover_size: int):
+        set_field(self, "hypothesis_holds", hypothesis_holds)
+        set_field(self, "conclusion_holds", conclusion_holds)
+        set_field(self, "cover_size", cover_size)
 
 
 def check_cover_lemma(graph: Graph) -> CoverLemmaReport:

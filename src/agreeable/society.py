@@ -25,12 +25,12 @@ import json
 import operator
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
 from typing import IO, Union
 
+from ._frozen import Frozen, set_field
 from .errors import CapExceededError
 
 Coord = Fraction
@@ -64,8 +64,7 @@ def coord_str(c: Coord) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """Closed bounded interval ``[lo, hi]``.
 
     Instances with ``lo > hi`` can be constructed (input data may be bad);
@@ -73,8 +72,21 @@ class Interval:
     an Interval.
     """
 
-    lo: Coord
-    hi: Coord
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Coord, hi: Coord):
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+
+    # Interval, Box and Voter write out ``==`` and ``hash``, which run per
+    # voter, rather than take Frozen's field loop.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     def contains(self, p: Coord) -> bool:
         return self.lo <= p <= self.hi
@@ -92,11 +104,21 @@ def make_interval(lo, hi) -> Interval:
     return Interval(as_coord(lo), as_coord(hi))
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Frozen):
     """Axis-aligned box: the Cartesian product of per-axis intervals."""
 
-    sides: tuple[Interval, ...]
+    __slots__ = ("sides",)
+
+    def __init__(self, sides: tuple[Interval, ...]):
+        set_field(self, "sides", sides)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.sides == other.sides
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sides,))
 
     @property
     def dimension(self) -> int:
@@ -130,29 +152,31 @@ def make_box(*sides) -> Box:
 Approval = Union[Interval, Box, None]
 
 
-@dataclass(frozen=True)
-class LineSpectrum:
+class LineSpectrum(Frozen):
     """Spectrum consisting of every point of the real line."""
 
+    __slots__ = ()
     kind = "line"
 
 
-@dataclass(frozen=True)
-class CandidateSpectrum:
+class CandidateSpectrum(Frozen):
     """Finite spectrum: a strictly increasing list of candidate platforms."""
 
-    candidates: tuple[Coord, ...]
-
+    __slots__ = ("candidates",)
     kind = "candidates"
 
+    def __init__(self, candidates: tuple[Coord, ...]):
+        set_field(self, "candidates", candidates)
 
-@dataclass(frozen=True)
-class BoxSpectrum:
+
+class BoxSpectrum(Frozen):
     """d-dimensional spectrum; approval sets are d-boxes."""
 
-    dimension: int
-
+    __slots__ = ("dimension",)
     kind = "box"
+
+    def __init__(self, dimension: int):
+        set_field(self, "dimension", dimension)
 
 
 Spectrum = Union[LineSpectrum, CandidateSpectrum, BoxSpectrum]
@@ -160,22 +184,35 @@ Spectrum = Union[LineSpectrum, CandidateSpectrum, BoxSpectrum]
 LINE = LineSpectrum()
 
 
-@dataclass(frozen=True)
-class Voter:
-    id: str
-    approval: Approval
+class Voter(Frozen):
+    __slots__ = ("id", "approval")
+
+    def __init__(self, id: str, approval: Approval):
+        set_field(self, "id", id)
+        set_field(self, "approval", approval)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.id, self.approval) == (other.id, other.approval)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.id, self.approval))
 
 
-@dataclass(frozen=True)
-class Society:
+class Society(Frozen):
     """A spectrum plus an ordered list of voters with approval sets.
 
     Voter order is preserved and used for deterministic tie-breaking in
     every downstream computation (sweeps, colorings, witness selection).
+    The ``__dict__`` slot holds the cached properties.
     """
 
-    spectrum: Spectrum
-    voters: tuple[Voter, ...]
+    __slots__ = ("spectrum", "voters", "__dict__")
+
+    def __init__(self, spectrum: Spectrum, voters: tuple[Voter, ...]):
+        set_field(self, "spectrum", spectrum)
+        set_field(self, "voters", voters)
 
     @property
     def n(self) -> int:
@@ -212,8 +249,19 @@ class Society:
                 raise ValueError("no interval representation for boxes with d >= 2")
             return tuple(None if v.approval is None else v.approval.sides[0] for v in self.voters)
         if isinstance(spec, CandidateSpectrum):
-            return tuple(_candidate_hull(v.approval, spec.candidates) for v in self.voters)
+            cs = spec.candidates
+            return tuple(None if r is None else Interval(cs[r[0]], cs[r[1] - 1]) for r in self._candidate_runs)
         return tuple(v.approval for v in self.voters)
+
+    @cached_property
+    def _candidate_runs(self) -> tuple[tuple[int, int] | None, ...]:
+        """Each voter's run ``(i, j)`` of a slate society's candidates, built
+        on first use: ``candidates[i:j]`` are the candidates it approves;
+        None when it approves none.  The tally, the interval view and the
+        platform table read it, so each voter is bisected into the slate
+        once.  Raises ValueError for a malformed society."""
+        require_valid(self)
+        return tuple(_candidate_range(v.approval, self.spectrum.candidates) for v in self.voters)
 
     def voter_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.voters)
@@ -343,16 +391,18 @@ def _candidate_range(interval: Interval | None, candidates: tuple[Coord, ...]) -
     return (i, j) if i < j else None
 
 
-@dataclass(frozen=True)
-class _PlatformTable:
+class _PlatformTable(Frozen):
     """A platform set that is exhaustive for every voter subset at once.
 
     The platforms are ``itertools.product(*axes)``, in that order, and
     ``masks[p]`` has bit i set iff voter i approves platform p.
     """
 
-    axes: tuple[tuple[Coord, ...], ...]
-    masks: tuple[int, ...]
+    __slots__ = ("axes", "masks", "__dict__")
+
+    def __init__(self, axes: tuple[tuple[Coord, ...], ...], masks: tuple[int, ...]):
+        set_field(self, "axes", axes)
+        set_field(self, "masks", masks)
 
     @cached_property
     def maximal(self) -> tuple[int, ...]:
@@ -390,35 +440,37 @@ def _build_platform_table(society: Society) -> _PlatformTable:
     containing it).
 
     Each axis takes one pass: a voter's side covers one run of the axis's
-    sorted coordinates, found by two bisections (:func:`_candidate_range`);
-    its bit is XORed into a difference array at both ends of the run, and a
-    prefix XOR gives the mask at every coordinate.  A grid point's mask is
-    the AND of its axis masks.  O(n log P + P) big-int operations per axis
-    of P coordinates and O(P^d * d) ANDs for the grid, all exact.
+    sorted coordinates, found by two bisections (:func:`_candidate_range`;
+    on a slate, :attr:`Society._candidate_runs`); its bit is XORed into a
+    difference array at both ends of the run, and a prefix XOR gives the
+    mask at every coordinate.  A grid point's mask is the AND of its axis
+    masks.  O(n log P + P) big-int operations per axis of P coordinates and
+    O(P^d * d) ANDs for the grid, all exact.
 
     Raises CapExceededError for a box society past the box caps.
     """
     require_valid(society)
     spec = society.spectrum
-    if isinstance(spec, BoxSpectrum):
-        _require_box_caps(society)
-    # A line interval is the one side of a 1-box.
-    sides = [
-        (1 << i, v.approval.sides if isinstance(v.approval, Box) else (v.approval,))
-        for i, v in enumerate(society.voters)
-        if v.approval is not None
-    ]
     if isinstance(spec, CandidateSpectrum):
         axes = [spec.candidates]
+        runs = [[(1 << i, run) for i, run in enumerate(society._candidate_runs)]]
     else:
+        if isinstance(spec, BoxSpectrum):
+            _require_box_caps(society)
+        # A line interval is the one side of a 1-box.
+        sides = [
+            (1 << i, v.approval.sides if isinstance(v.approval, Box) else (v.approval,))
+            for i, v in enumerate(society.voters)
+            if v.approval is not None
+        ]
         dimension = spec.dimension if isinstance(spec, BoxSpectrum) else 1
         axes = [tuple(sorted({s[a].lo for _, s in sides})) for a in range(dimension)]
+        runs = [[(bit, _candidate_range(s[a], axis)) for bit, s in sides] for a, axis in enumerate(axes)]
 
     masks = [-1]
-    for a, axis in enumerate(axes):
+    for axis, axis_runs in zip(axes, runs):
         diff = [0] * (len(axis) + 1)
-        for bit, s in sides:
-            span = _candidate_range(s[a], axis)
+        for bit, span in axis_runs:
             if span is not None:
                 diff[span[0]] ^= bit
                 diff[span[1]] ^= bit

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from ._frozen import Frozen
 from .agreeability import AgreeParams, is_km_agreeable
 from .agreement import agreement, common_platform, good_set_count, good_set_lower_bound, two_platform_cover
 from .bounds import clique_bound, division, fractional_helly_bound, proportion_bound, small_m_bound
@@ -63,12 +63,18 @@ def child_seed(base: int, label: str, index: int) -> int:
     return base + zlib.crc32(label.encode("ascii")) * 1_000_003 + index
 
 
-@dataclass
-class PropertyResult:
-    suite: str
-    name: str
-    checked: int = 0
-    violations: list[str] = field(default_factory=list)
+class PropertyResult(Frozen):
+    # The suites count into it as they run, so it stays mutable (and unhashable).
+    __slots__ = ("suite", "name", "checked", "violations")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, suite: str, name: str, checked: int = 0, violations: list[str] | None = None):
+        self.suite = suite
+        self.name = name
+        self.checked = checked
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -469,11 +475,17 @@ def run_graph_suite(trials: int, seed: int, failure_dir: str | None = None) -> l
     return rec.ordered()
 
 
-@dataclass
-class VerifyReport:
-    seed: int
-    trials: int
-    results: list[PropertyResult]
+class VerifyReport(Frozen):
+    # Mutable and unhashable, like PropertyResult.
+    __slots__ = ("seed", "trials", "results")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, seed: int, trials: int, results: list[PropertyResult]):
+        self.seed = seed
+        self.trials = trials
+        self.results = results
 
     @property
     def ok(self) -> bool:

@@ -71,19 +71,36 @@ def test_submodules_are_attributes_of_the_package():
     assert run_python(program) == "agreeable.oracles ('linear', 'box', 'graph') function"
 
 
-def test_analyze_json_imports_only_the_loader_and_sweep(tmp_path, seven_voter_society):
+SUITE_MODULES = {"verify", "oracles", "generators", "graphs"}
+
+
+@pytest.mark.parametrize(
+    "argv, needed, unneeded",
+    [
+        (["analyze", "FILE", "--format", "json"], {"agreement", "society"}, SUITE_MODULES),
+        (["check", "FILE", "--k", "2", "--m", "3"], {"agreeability", "society"}, SUITE_MODULES | {"bounds"}),
+        (["verify", "--trials", "1"], SUITE_MODULES, set()),
+    ],
+    ids=["analyze", "check", "verify"],
+)
+def test_analyze_json_imports_only_the_loader_and_sweep(tmp_path, seven_voter_society, argv, needed, unneeded):
+    # Each command loads only the modules it runs, and none of them needs
+    # the dataclass machinery (``dataclasses`` pulls in ``inspect``).
     path = tmp_path / "s.json"
     save_society(seven_voter_society, str(path))
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
     program = (
         "import sys\n"
         "from agreeable.cli import main\n"
-        f"code = main(['analyze', {str(path)!r}, '--format', 'json'])\n"
-        "print(code, *sorted(m for m in sys.modules if m.startswith('agreeable')))\n"
+        f"code = main({argv!r})\n"
+        "watched = [m for m in sys.modules if m.startswith('agreeable') or m in ('dataclasses', 'inspect')]\n"
+        "print(code, *sorted(watched))\n"
     )
     code, *loaded = run_python(program).splitlines()[-1].split()
     assert code == "0"
-    assert {"agreeable.agreement", "agreeable.society"} <= set(loaded)
-    assert not set(loaded) & {"agreeable.verify", "agreeable.oracles", "agreeable.generators", "agreeable.graphs"}
+    assert {f"agreeable.{m}" for m in needed} <= set(loaded)
+    assert not set(loaded) & {f"agreeable.{m}" for m in unneeded}
+    assert not set(loaded) & {"dataclasses", "inspect"}
 
 
 def test_no_bare_asserts_in_the_package():

@@ -1,4 +1,5 @@
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,9 @@ from agreeable import (
     to_box_society,
     validate,
 )
-from agreeable.society import approved_candidates, as_coord, coord_str
+from agreeable.society import approved_candidates, as_coord, coord_str, require_valid, society_to_obj
 
-from strategies import line_societies, box_societies, slates
+from strategies import line_societies, box_societies, pooled_societies, slates
 
 
 def test_validate_accepts_well_formed(seven_voter_society):
@@ -245,6 +246,80 @@ def test_json_errors_carry_position():
         loads_society('{"spectrum": "ring", "voters": []}')
     with pytest.raises(SocietyFormatError, match="interval"):
         loads_society('{"spectrum": "line", "voters": [{"id": "v1"}]}')
+
+
+json_keys = st.text(max_size=4) | st.sampled_from(["spectrum", "voters", "id", "interval", "box", "candidates"])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["line", "1/0", "1/3", "2e400", "nan", "-0", "1e-2"]),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_keys, children, max_size=4),
+    max_leaves=12,
+)
+
+
+def load_checked(text: str) -> Society | None:
+    """loads_society and require_valid, as the CLI reads a society; only a
+    ValueError (SocietyFormatError included) may escape."""
+    try:
+        society = loads_society(text)
+        require_valid(society)
+    except ValueError:
+        return None
+    return society
+
+
+def json_paths(obj, prefix=()):
+    """The path of every value nested inside a parsed JSON document."""
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+# A document with the value at each place the format gives meaning to.
+DOCUMENTS_AROUND = [
+    lambda x: x,
+    lambda x: {"spectrum": x, "voters": [{"id": "v1", "interval": [0, 1]}]},
+    lambda x: {"spectrum": {"candidates": x}, "voters": [{"id": "v1", "interval": [0, 1]}]},
+    lambda x: {"spectrum": {"candidates": [1, x]}, "voters": [{"id": "v1", "interval": [0, 1]}]},
+    lambda x: {"spectrum": {"box": x}, "voters": [{"id": "v1", "box": [[0, 1]]}]},
+    lambda x: {"spectrum": "line", "voters": x},
+    lambda x: {"spectrum": "line", "voters": [x]},
+    lambda x: {"spectrum": "line", "voters": [{"id": x, "interval": [0, 1]}]},
+    lambda x: {"spectrum": "line", "voters": [{"id": "v1", "interval": x}]},
+    lambda x: {"spectrum": "line", "voters": [{"id": "v1", "interval": [x, 1]}]},
+    lambda x: {"spectrum": {"box": 2}, "voters": [{"id": "v1", "box": x}]},
+    lambda x: {"spectrum": {"box": 2}, "voters": [{"id": "v1", "box": [[0, 1], x]}]},
+]
+
+
+@given(json_values, st.text(max_size=30))
+def test_loader_raises_only_value_errors_on_arbitrary_json(value, text):
+    load_checked(text)
+    for document_around in DOCUMENTS_AROUND:
+        load_checked(json.dumps(document_around(value)))
+
+
+@given(pooled_societies(max_n=4), st.data())
+def test_loader_raises_only_value_errors_on_mutated_documents(society, data):
+    doc = society_to_obj(society)
+    *head, last = data.draw(st.sampled_from(list(json_paths(doc))))
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = data.draw(json_values)
+    load_checked(json.dumps(doc))
+
+
+@given(pooled_societies(max_n=4), st.data())
+def test_loader_ignores_unknown_voter_keys(society, data):
+    doc = society_to_obj(society)
+    voter = data.draw(st.sampled_from(doc["voters"]))
+    voter[data.draw(st.sampled_from(["extra", "note", "ID"]))] = data.draw(json_values)
+    assert loads_society(json.dumps(doc)) == society
 
 
 @given(line_societies(max_n=8))
