@@ -174,7 +174,7 @@ def random_society(kind: str, n: int, seed: int, config: RandomConfig = RandomCo
         if config.num_candidates > span:
             raise ValueError(f"cannot place {config.num_candidates} distinct candidates in {span} slots")
         platforms = sorted(rng.sample(range(config.coord_min, config.coord_max + 1), config.num_candidates))
-        spectrum = CandidateSpectrum(tuple(make_interval(c, c).lo for c in platforms))
+        spectrum = CandidateSpectrum(tuple(platforms))
     elif kind == "box":
         spectrum = BoxSpectrum(config.dimension)
 

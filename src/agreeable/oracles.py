@@ -11,6 +11,7 @@ never silently approximates.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from ._frozen import Frozen, set_field
 from .agreeability import AgreeParams, _require_subset_cap
@@ -277,7 +278,7 @@ def brute_line_witnesses(society: Society) -> tuple[Interval, ...]:
     for i, p in enumerate(points):
         pieces.append((depth(p), p, p))
         if i + 1 < len(points):
-            pieces.append((depth((p + points[i + 1]) / 2), p, points[i + 1]))
+            pieces.append((depth(Fraction(p + points[i + 1], 2)), p, points[i + 1]))
     best = max((d for d, _, _ in pieces), default=0)
     if best == 0:
         return ()

@@ -8,10 +8,12 @@ each carrying an approval set.  Three spectrum kinds are supported:
   candidates falling inside a voter's interval),
 * d-dimensional box space (approval sets are axis-aligned boxes).
 
-All coordinates are exact rationals (`fractions.Fraction`).  Only the
-ordering of coordinates ever matters; no metric is used, and closed-set
-touching (``[0,1]`` meets ``[1,2]``) must be decided exactly, which is why
-floats are banned from interval logic.
+All coordinates are exact rationals: a whole number is a plain ``int``,
+any other value a ``fractions.Fraction`` (both have ``.numerator`` and
+``.denominator``, and they compare and hash alike).  Only the ordering of
+coordinates ever matters; no metric is used, and closed-set touching
+(``[0,1]`` meets ``[1,2]``) must be decided exactly, which is why floats are
+banned from interval logic.
 
 Approval sets may be empty; the empty set is represented by ``None`` and
 intersects nothing, including itself.  All values are immutable after
@@ -33,7 +35,9 @@ from typing import IO, Union
 from ._frozen import Frozen, set_field
 from .errors import CapExceededError
 
-Coord = Fraction
+# The entry points (:func:`as_coord` and the JSON loader) give a whole
+# number as an int: int comparisons run in C, Fraction's in Python.
+Coord = int | Fraction
 
 # A box society's platform grid holds up to n^d points: fine at desk scale,
 # unacceptable beyond it, so past these limits box computations are refused.
@@ -45,18 +49,40 @@ def as_coord(value: Union[int, str, Fraction, Decimal]) -> Coord:
     """Convert an exact numeric representation to a coordinate.
 
     Accepts ints, Fractions, Decimals and strings such as ``"3/4"`` or
-    ``"-1.25"``.  Floats are rejected: binary floats do not round-trip the
-    decimal literals they came from, and exactness is a hard requirement.
+    ``"-1.25"``; a whole number comes back as a plain ``int``.  Floats are
+    rejected: binary floats do not round-trip the decimal literals they came
+    from, and exactness is a hard requirement.
     """
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"coordinates must be exact, got {value!r}")
+    if isinstance(value, int):
+        return int(value)
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, Decimal)):
-        return Fraction(value)
+        return _integral(value)
+    if isinstance(value, Decimal):
+        return _integral(Fraction(value))
     if isinstance(value, str):
-        return Fraction(value)
+        return _integral(_fraction(value))
     raise TypeError(f"cannot interpret {value!r} as a coordinate")
+
+
+def _integral(x: Fraction) -> Coord:
+    """The coordinate for ``x``: its numerator when it is a whole number."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, same values and same errors.
+
+    A ``"p/q"`` of ASCII digits (an optional ``-`` before p, q non-zero) is
+    built from its two ints directly, without the regex ``Fraction`` matches
+    every string against; any other string goes to ``Fraction(text)``.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if slash and digits.isdigit() and den.isdigit() and text.isascii() and den.strip("0"):
+        return Fraction(int(num), int(den))
+    return Fraction(text)
 
 
 def coord_str(c: Coord) -> str:
@@ -559,14 +585,14 @@ def _exact_decimal(literal: str) -> Coord:
     if limit and max(len(digits) + max(exponent, 0), 1 - min(exponent, 0)) > limit:
         shown = literal if len(literal) <= 40 else literal[:37] + "..."
         raise SocietyFormatError(f"number {shown} expands to more than {limit} digits")
-    return Fraction(number)
+    return _integral(Fraction(number))
 
 
 def _coord_from_string(text: str) -> Coord:
     if "e" in text or "E" in text:
         return _exact_decimal(text)
     try:
-        return Fraction(text)
+        return _integral(_fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise SocietyFormatError(f"bad coordinate string {text!r}: {exc}") from exc
 
@@ -576,9 +602,10 @@ def _coord_from_json(value, interned: dict) -> Coord:
 
     A token is an int, a ``"p/q"`` or decimal string, or a JSON number with
     a fraction or exponent, which :func:`_parse_exact` has already made a
-    Fraction.  ``interned`` maps each int and string token seen so far in
-    the document to its coordinate, so a repeated token is converted once
-    and the voters holding it share one Fraction.
+    coordinate.  An int token is its own coordinate.  ``interned`` maps each
+    int and string token seen so far in the document to its coordinate, so
+    a repeated token is converted once and the voters holding it share one
+    object.
     """
     # Before the lookup: True == 1 and hash(True) == hash(1).
     if isinstance(value, bool):
@@ -586,10 +613,10 @@ def _coord_from_json(value, interned: dict) -> Coord:
     if isinstance(value, (int, str)):
         coord = interned.get(value)
         if coord is None:
-            coord = interned[value] = Fraction(value) if isinstance(value, int) else _coord_from_string(value)
+            coord = interned[value] = value if isinstance(value, int) else _coord_from_string(value)
         return coord
     if isinstance(value, Fraction):
-        return value
+        return _integral(value)
     raise SocietyFormatError(f"coordinate {value!r} is not a number or 'p/q' string")
 
 

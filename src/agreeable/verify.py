@@ -130,8 +130,8 @@ def _farey_image(society: Society) -> Society:
     so the sweep meets p/q endpoints as close together as their
     denominators allow.
     """
-    def image(x: Fraction) -> Fraction:
-        return x / (x + 1)
+    def image(x: int | Fraction) -> Fraction:
+        return Fraction(x, x + 1)
 
     return linear_society(
         [None if v.approval is None else (image(v.approval.lo), image(v.approval.hi)) for v in society.voters],
