@@ -1,17 +1,19 @@
 """Independent brute-force references for the property suites.
 
 Everything here recomputes graph and society quantities by exhaustive
-enumeration on Fractions, sharing no logic with the fast paths it is used
-to validate (the sweep and its integer order keys, the platform masks and
-box depth, the subset search, the sorted-endpoint graph and coloring).
-Instance-size caps on the exponential searches are hard errors: an oracle
-never silently approximates.
+enumeration with exact comparisons, sharing no logic with the fast paths it
+is used to validate (the sweep and its integer order keys, the platform
+masks and box depth, the subset search, the sorted-endpoint graph and
+coloring).  The graph oracles run on vertex bitmasks, and only the
+perfection check spends O(3^n).  Instance-size caps on the exponential
+searches are hard errors: an oracle never silently approximates.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from collections import Counter
+from collections.abc import Iterator
 
 from ._frozen import Frozen, set_field
 from .agreeability import AgreeParams, _require_subset_cap
@@ -59,25 +61,26 @@ def brute_clique(graph: Graph) -> int:
     return best
 
 
+def _independent_table(adj: list[int]) -> list[bool]:
+    """Whether each vertex bitmask is an independent set, built by doubling:
+    the masks with highest vertex v extend the masks below 1 << v."""
+    independent = [True]
+    for a in adj:
+        independent += [ok and not (a & mask) for mask, ok in enumerate(independent)]
+    return independent
+
+
 def _chromatic_table(adj: list[int]) -> list[int]:
-    """chi of every induced subgraph, indexed by vertex bitmask.
+    """chi of every induced subgraph, indexed by vertex bitmask: O(3^n).
 
     chi(S) = 1 + min over independent sets I in S containing S's first
     vertex of chi(S - I); there is always an optimal coloring in which
     that vertex's color class is such a set.
     """
     n = len(adj)
-    full = (1 << n) - 1
-
-    independent = [False] * (full + 1)
-    independent[0] = True
-    for mask in range(1, full + 1):
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        independent[mask] = independent[rest] and not (adj[v] & rest)
-
-    chi = [0] * (full + 1)
-    for mask in range(1, full + 1):
+    independent = _independent_table(adj)
+    chi = [0] * len(independent)
+    for mask in range(1, len(chi)):
         low = mask & -mask
         best = n
         sub = mask
@@ -92,10 +95,29 @@ def _chromatic_table(adj: list[int]) -> list[int]:
 
 
 def brute_chromatic(graph: Graph) -> int:
-    """Exact chromatic number by dynamic programming over vertex subsets."""
-    if graph.n > MAX_CHROMATIC_VERTICES:
+    """Exact chromatic number by inclusion-exclusion: O(2^n chi).
+
+    With i(S) the number of independent sets inside S, the empty one
+    included (i(S + v) = i(S) + i(S - N(v)) for v above S), the sum over S
+    of (-1)^(n - |S|) i(S)^k counts the k-tuples of independent sets that
+    cover every vertex, so it is positive iff chi <= k (Bjorklund,
+    Husfeldt and Koivisto).  Exact ints throughout.
+    """
+    n = graph.n
+    if n > MAX_CHROMATIC_VERTICES:
         raise CapExceededError(f"brute_chromatic capped at {MAX_CHROMATIC_VERTICES} vertices")
-    return _chromatic_table(_adjacency_masks(graph))[-1]
+    if n == 0:
+        return 0
+    count = [1]
+    for a in _adjacency_masks(graph):
+        count += [c + count[mask & ~a] for mask, c in enumerate(count)]
+    # The sum's terms grouped by i(S): value -> net sign count.
+    weight = Counter(c for mask, c in enumerate(count) if not (n - mask.bit_count()) & 1)
+    weight.subtract(c for mask, c in enumerate(count) if (n - mask.bit_count()) & 1)
+    for k in range(1, n):
+        if sum(w * c**k for c, w in weight.items()) > 0:
+            return k
+    return n
 
 
 def induced_subgraph_tables(graph: Graph) -> tuple[list[int], list[int]]:
@@ -134,35 +156,26 @@ class CoverCertificate(Frozen):
         set_field(self, "size", size)
 
 
-def _edge_index_pairs(graph: Graph) -> list[tuple[int, int]]:
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    return [(index[u], index[v]) for u, v in graph.sorted_edges()]
+def _covers(independent: list[bool], bits: list[int], size: int) -> Iterator[tuple[int, ...]]:
+    """The ``size``-combinations of the vertex ``bits``, in ``combinations``
+    order, that cover the graph the bits induce: the rest is independent."""
+    among = sum(bits)
+    return (combo for combo in itertools.combinations(bits, size) if independent[among ^ sum(combo)])
 
 
-def _has_cover_of_size(edges: list[tuple[int, int]], n: int, size: int) -> tuple[int, ...] | None:
-    if size < 0:
-        return None
-    if not edges:
-        return ()
-    if size == 0:
-        return None
-    for combo in itertools.combinations(range(n), size):
-        chosen = set(combo)
-        if all(u in chosen or v in chosen for u, v in edges):
-            return combo
-    return None
+def _min_cover(independent: list[bool], n: int) -> tuple[int, ...]:
+    bits = [1 << i for i in range(n)]
+    return next(combo for size in range(n + 1) for combo in _covers(independent, bits, size))
 
 
 def brute_min_vertex_cover(graph: Graph) -> CoverCertificate:
-    """Minimum vertex cover by ascending-size exhaustion."""
+    """Minimum vertex cover by ascending-size exhaustion, in
+    ``itertools.combinations`` order, each candidate tested by one lookup
+    in the table of independent vertex sets."""
     if graph.n > MAX_COVER_VERTICES:
         raise CapExceededError(f"brute_min_vertex_cover capped at {MAX_COVER_VERTICES} vertices")
-    edges = _edge_index_pairs(graph)
-    for size in range(graph.n + 1):
-        combo = _has_cover_of_size(edges, graph.n, size)
-        if combo is not None:
-            return CoverCertificate(tuple(graph.vertices[i] for i in combo), size)
-    raise AssertionError("the full vertex set always covers")
+    combo = _min_cover(_independent_table(_adjacency_masks(graph)), graph.n)
+    return CoverCertificate(tuple(graph.vertices[b.bit_length() - 1] for b in combo), len(combo))
 
 
 class CoverLemmaReport(Frozen):
@@ -181,48 +194,43 @@ def check_cover_lemma(graph: Graph) -> CoverLemmaReport:
     vertex drops it to z-1.  Conclusion: the graph has at most 2z
     vertices.  An edgeless graph fails the hypothesis (deletions would
     need covers of size -1).  Any instance with a true hypothesis and a
-    false conclusion is a bug-stopper.
+    false conclusion is a bug-stopper.  One table of independent sets
+    serves the graph and every G - v.
     """
-    if graph.n > MAX_COVER_LEMMA_VERTICES:
+    n = graph.n
+    if n > MAX_COVER_LEMMA_VERTICES:
         raise CapExceededError(f"check_cover_lemma capped at {MAX_COVER_LEMMA_VERTICES} vertices")
-    z = brute_min_vertex_cover(graph).size
-    hypothesis = True
-    for v in graph.vertices:
-        rest = graph.induced([u for u in graph.vertices if u != v])
-        edges = _edge_index_pairs(rest)
-        if _has_cover_of_size(edges, rest.n, z - 1) is None:
-            hypothesis = False
-            break
-    return CoverLemmaReport(hypothesis, graph.n <= 2 * z, z)
+    independent = _independent_table(_adjacency_masks(graph))
+    z = len(_min_cover(independent, n))
+    hypothesis = all(
+        z > 0 and next(_covers(independent, [1 << u for u in range(n) if u != v], z - 1), None) is not None
+        for v in range(n)
+    )
+    return CoverLemmaReport(hypothesis, n <= 2 * z, z)
 
 
-def _has_clique_of_size(members: list[int], adj: list[int], k: int) -> bool:
-    if k == 0:
+def _has_clique(candidates: int, size: int, adj: list[int]) -> bool:
+    """Whether the vertex bitmask ``candidates`` holds a clique of ``size``."""
+    if size <= 0:
         return True
-
-    def extend(candidates: int, need: int) -> bool:
-        if need == 0:
+    while candidates.bit_count() >= size:
+        v = (candidates & -candidates).bit_length() - 1
+        candidates &= candidates - 1
+        if _has_clique(candidates & adj[v], size - 1, adj):
             return True
-        while candidates:
-            if candidates.bit_count() < need:
-                return False
-            v = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
-            if extend(candidates & adj[v], need - 1):
-                return True
-        return False
-
-    mask = 0
-    for i in members:
-        mask |= 1 << i
-    return extend(mask, k)
+    return False
 
 
 def every_m_subset_has_k_clique(graph: Graph, params: AgreeParams, cap: int | None = None) -> bool:
     """Exhaustively test: does every m-subset of vertices include a k-clique?
 
     This is the purely graph-theoretic hypothesis shared by the coloring
-    and small-m bounds, checked here independently of any geometry.
+    and small-m bounds, checked here independently of any geometry.  The
+    answer is no iff some k-clique-free set reaches m vertices.  Those sets
+    are closed under taking subsets, so a depth-first search in vertex
+    order extends only them: S takes v iff S's neighbors of v hold no
+    (k-1)-clique.  A branch stops when too few vertices are left to reach
+    m, so each node starts a distinct m-subset: at most m C(n, m) nodes.
     """
     n = graph.n
     k, m = params.k, params.m
@@ -230,9 +238,16 @@ def every_m_subset_has_k_clique(graph: Graph, params: AgreeParams, cap: int | No
         raise ValueError(f"graph has {n} vertices but m={m}")
     _require_subset_cap(n, m, cap)
     adj = _adjacency_masks(graph)
-    for subset in itertools.combinations(range(n), m):
-        if not _has_clique_of_size(list(subset), adj, k):
+    # (chosen vertex set, its size, first vertex still to try); an explicit
+    # stack, as m can exceed the interpreter's recursion limit.
+    stack = [(0, 0, 0)]
+    while stack:
+        chosen, size, start = stack.pop()
+        if size == m:
             return False
+        for v in range(start, n - m + size + 1):
+            if not _has_clique(chosen & adj[v], k - 1, adj):
+                stack.append((chosen | 1 << v, size + 1, v + 1))
     return True
 
 
@@ -257,28 +272,28 @@ def brute_agreement_line(society: Society) -> int:
 def brute_line_witnesses(society: Society) -> tuple[Interval, ...]:
     """Maximal closed intervals of maximum depth in a line society.
 
-    Scores every distinct endpoint and the midpoint of every gap between
-    consecutive endpoints by counting the intervals containing it, then
-    merges each maximal run of optimal points and gaps into one interval.
-    Depth is constant on each open gap, so these points see every depth on
-    the line.  Fractions only, O(n^2); kept independent of the sweep it
-    cross-checks.  Empty when no voter approves anything.
+    Scores every distinct endpoint by the intervals containing it, and
+    every open gap (p, q) between consecutive endpoints by the intervals
+    with lo <= p and q <= hi, then merges each maximal run of optimal
+    points and gaps into one interval.  No endpoint lies inside a gap, so
+    an interval meets the gap iff it spans it, and depth is constant on
+    it: these scores see every depth on the line.  Exact comparisons only,
+    O(n^2); kept independent of the sweep it cross-checks.  Empty when no
+    voter approves anything.
     """
     if not isinstance(society.spectrum, LineSpectrum):
         raise ValueError("brute_line_witnesses applies to line societies")
     intervals = [v.approval for v in society.voters if isinstance(v.approval, Interval)]
     points = sorted({iv.lo for iv in intervals} | {iv.hi for iv in intervals})
 
-    def depth(p) -> int:
-        return sum(1 for iv in intervals if iv.contains(p))
-
     # Alternating pieces: point 0, gap (0, 1), point 1, ...; a gap's closure
     # is its two endpoints.
     pieces = []
     for i, p in enumerate(points):
-        pieces.append((depth(p), p, p))
+        pieces.append((sum(1 for iv in intervals if iv.contains(p)), p, p))
         if i + 1 < len(points):
-            pieces.append((depth(Fraction(p + points[i + 1], 2)), p, points[i + 1]))
+            q = points[i + 1]
+            pieces.append((sum(1 for iv in intervals if iv.lo <= p and q <= iv.hi), p, q))
     best = max((d for d, _, _ in pieces), default=0)
     if best == 0:
         return ()

@@ -116,6 +116,10 @@ def test_min_vertex_cover_examples():
     covered = set(cert.cover)
     graph = cycle(5)
     assert all(u in covered or v in covered for u, v in graph.edges)
+    # The path a-b-d-c: {a, d} comes first in combinations order, {b, c}
+    # first in colex order.
+    path = graph_from_edges(("a", "b", "c", "d"), [("a", "b"), ("b", "d"), ("c", "d")])
+    assert brute_min_vertex_cover(path).cover == ("a", "d")
 
 
 @given(graphs(max_n=8))
@@ -223,3 +227,89 @@ def test_brute_line_witnesses_examples():
 def test_brute_line_witnesses_requires_line_spectrum():
     with pytest.raises(ValueError):
         brute_line_witnesses(candidate_society([1, 2], [(0, 3)]))
+
+
+# Differential tests of the bitmask graph oracles against set-based
+# references written here, at the sizes ``verify`` draws.
+
+def reference_cover(graph):
+    """The first vertex cover in ascending size, ``combinations`` order."""
+    for size in range(graph.n + 1):
+        for combo in itertools.combinations(graph.vertices, size):
+            chosen = set(combo)
+            if all(u in chosen or v in chosen for u, v in graph.edges):
+                return combo
+
+
+def reference_cover_lemma(graph):
+    z = len(reference_cover(graph))
+    hypothesis = all(
+        len(reference_cover(graph.induced([u for u in graph.vertices if u != v]))) <= z - 1
+        for v in graph.vertices
+    )
+    return hypothesis, graph.n <= 2 * z, z
+
+
+def reference_every_m_subset(graph, k, m):
+    return all(
+        any(
+            all(graph.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
+            for clique in itertools.combinations(subset, k)
+        )
+        for subset in itertools.combinations(graph.vertices, m)
+    )
+
+
+def assert_every_m_subset_matches(graph):
+    for m in range(1, graph.n + 1):
+        for k in range(1, m + 1):
+            expected = reference_every_m_subset(graph, k, m)
+            assert every_m_subset_has_k_clique(graph, AgreeParams(k, m)) == expected, (k, m)
+
+
+EXTREMES = [make(n) for n in (0, 1, 2, 5, 12) for make in (edgeless, complete)]
+
+
+@pytest.mark.parametrize("graph", [g for g in EXTREMES if g.n <= 10] + [cycle(5), cycle(7)])
+def test_chromatic_extremes_match_table(graph):
+    assert brute_chromatic(graph) == induced_subgraph_tables(graph)[1][-1]
+
+
+@given(graphs(min_n=0, max_n=10))
+@settings(max_examples=60, deadline=None)
+def test_chromatic_matches_subset_table(graph):
+    assert brute_chromatic(graph) == induced_subgraph_tables(graph)[1][-1]
+
+
+@pytest.mark.parametrize("graph", EXTREMES + [cycle(5), cycle(12)])
+def test_cover_oracles_match_references_on_extremes(graph):
+    cert = brute_min_vertex_cover(graph)
+    assert cert.cover == reference_cover(graph) and cert.size == len(cert.cover)
+    report = check_cover_lemma(graph)
+    assert (report.hypothesis_holds, report.conclusion_holds, report.cover_size) == reference_cover_lemma(graph)
+
+
+@given(graphs(min_n=0, max_n=12))
+@settings(max_examples=60, deadline=None)
+def test_min_cover_certificate_matches_reference(graph):
+    cert = brute_min_vertex_cover(graph)
+    assert cert.cover == reference_cover(graph)
+    assert cert.size == len(cert.cover)
+
+
+@given(graphs(min_n=0, max_n=12))
+@settings(max_examples=40, deadline=None)
+def test_cover_lemma_matches_reference(graph):
+    report = check_cover_lemma(graph)
+    assert (report.hypothesis_holds, report.conclusion_holds, report.cover_size) == reference_cover_lemma(graph)
+
+
+@pytest.mark.parametrize("graph", EXTREMES + [cycle(5)])
+def test_every_m_subset_matches_reference_on_extremes(graph):
+    assert_every_m_subset_matches(graph)
+
+
+@given(graphs(min_n=0, max_n=12))
+@settings(max_examples=40, deadline=None)
+def test_every_m_subset_matches_reference(graph):
+    assert_every_m_subset_matches(graph)
