@@ -31,24 +31,11 @@ SUITE_CHOICES = ("all", "linear", "box", "graph")
 
 
 def _read_society(path: str) -> Society:
-    from .society import loads_society, require_valid
+    from .society import load_society, require_valid
 
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    society = loads_society(text)
+    society = load_society(sys.stdin if path == "-" else path)
     require_valid(society)
     return society
-
-
-def _write_output(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
 
 
 def _print_sheet_text(sheet: BoundSheet) -> None:
@@ -149,12 +136,18 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if params.m <= 2 * params.k - 2:
             obj["small_m_bound"] = small_m_bound(args.n, params)
     if args.d is not None and args.m > args.d:
-        obj["fractional_helly"] = fractional_helly_bound(args.d, params)
+        bound = fractional_helly_bound(args.d, params)
+        # Rendered before anything is written, so that a bound too long to
+        # print leaves stdout empty.
+        try:
+            obj["fractional_helly"] = bound.to_obj() if args.format == "json" else str(bound)
+        except ValueError:  # an int past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"the fractional_helly bound's radicand has more than {limit} digits") from None
     if args.format == "json":
-        print(json.dumps(obj, separators=(",", ":"), default=lambda bound: bound.to_obj()))
+        print(json.dumps(obj, separators=(",", ":")))
     else:
-        for key, value in obj.items():
-            print(f"{key}: {value}")
+        print("\n".join(f"{key}: {value}" for key, value in obj.items()))
     return 0
 
 
@@ -168,7 +161,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         five_cycle_boxes,
         random_society,
     )
-    from .society import dumps_society
+    from .society import save_society
 
     if args.generator == "extremal":
         society = extremal_linear(args.n, AgreeParams(args.k, args.m))
@@ -189,7 +182,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             dimension=args.d,
         )
         society = random_society(args.kind, args.n, args.seed, config)
-    _write_output(dumps_society(society), args.out)
+    save_society(society, sys.stdout if args.out in (None, "-") else args.out)
     return 0
 
 

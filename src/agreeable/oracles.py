@@ -4,9 +4,11 @@ Everything here recomputes graph and society quantities by exhaustive
 enumeration with exact comparisons, sharing no logic with the fast paths it
 is used to validate (the sweep and its integer order keys, the platform
 masks and box depth, the subset search, the sorted-endpoint graph and
-coloring).  The graph oracles run on vertex bitmasks, and only the
-perfection check spends O(3^n).  Instance-size caps on the exponential
-searches are hard errors: an oracle never silently approximates.
+coloring).  Line agreement scores every endpoint and gap once; platform
+masks and box depth both read one containment grid.  The graph oracles run
+on vertex bitmasks, and only the perfection check spends O(3^n).
+Instance-size caps on the exponential searches are hard errors: an oracle
+never silently approximates.
 """
 
 from __future__ import annotations
@@ -251,38 +253,21 @@ def every_m_subset_has_k_clique(graph: Graph, params: AgreeParams, cap: int | No
     return True
 
 
-def brute_agreement_line(society: Society) -> int:
-    """Agreement number of a line society by evaluating every endpoint.
+def brute_line_agreement(society: Society) -> AgreementReport:
+    """Agreement number and witnesses of a line society by scoring every
+    endpoint and every gap once.
 
-    The maximum depth over the line is attained at some interval endpoint,
-    so scoring each endpoint platform directly is exhaustive.  Kept
-    independent of the sweep it cross-checks.
+    Each distinct endpoint is scored by the intervals containing it, and
+    each open gap (p, q) between consecutive endpoints by the intervals with
+    lo <= p and q <= hi.  No endpoint lies inside a gap, so an interval
+    meets the gap iff it spans it, and depth is constant on it: these scores
+    see every depth on the line.  The witnesses merge each maximal run of
+    optimal points and gaps into one closed interval; none when no voter
+    approves anything.  Exact comparisons only, O(n^2); kept independent of
+    the sweep it cross-checks.
     """
     if not isinstance(society.spectrum, LineSpectrum):
-        raise ValueError("brute_agreement_line applies to line societies")
-    intervals = [v.approval for v in society.voters if isinstance(v.approval, Interval)]
-    platforms = {iv.lo for iv in intervals} | {iv.hi for iv in intervals}
-    best = 0
-    for p in platforms:
-        depth = sum(1 for iv in intervals if iv.contains(p))
-        best = max(best, depth)
-    return best
-
-
-def brute_line_witnesses(society: Society) -> tuple[Interval, ...]:
-    """Maximal closed intervals of maximum depth in a line society.
-
-    Scores every distinct endpoint by the intervals containing it, and
-    every open gap (p, q) between consecutive endpoints by the intervals
-    with lo <= p and q <= hi, then merges each maximal run of optimal
-    points and gaps into one interval.  No endpoint lies inside a gap, so
-    an interval meets the gap iff it spans it, and depth is constant on
-    it: these scores see every depth on the line.  Exact comparisons only,
-    O(n^2); kept independent of the sweep it cross-checks.  Empty when no
-    voter approves anything.
-    """
-    if not isinstance(society.spectrum, LineSpectrum):
-        raise ValueError("brute_line_witnesses applies to line societies")
+        raise ValueError("brute_line_agreement applies to line societies")
     intervals = [v.approval for v in society.voters if isinstance(v.approval, Interval)]
     points = sorted({iv.lo for iv in intervals} | {iv.hi for iv in intervals})
 
@@ -295,18 +280,17 @@ def brute_line_witnesses(society: Society) -> tuple[Interval, ...]:
             q = points[i + 1]
             pieces.append((sum(1 for iv in intervals if iv.lo <= p and q <= iv.hi), p, q))
     best = max((d for d, _, _ in pieces), default=0)
-    if best == 0:
-        return ()
 
     runs: list[Interval] = []
     previous_optimal = False
     for d, lo, hi in pieces:
-        if d == best and previous_optimal:
+        optimal = d == best > 0
+        if optimal and previous_optimal:
             runs[-1] = Interval(runs[-1].lo, hi)
-        elif d == best:
+        elif optimal:
             runs.append(Interval(lo, hi))
-        previous_optimal = d == best
-    return tuple(runs)
+        previous_optimal = optimal
+    return AgreementReport(best, society.n, tuple(runs))
 
 
 def _scanned_intervals(society: Society) -> list[Interval | None]:
@@ -369,46 +353,39 @@ def brute_first_fit_coloring(society: Society) -> Coloring:
     return Coloring(assignment)
 
 
-def brute_platform_masks(society: Society) -> list[int]:
-    """Platform masks by testing every voter against every platform.
+def _brute_grid(society: Society) -> Iterator[tuple[tuple, int]]:
+    """Every point of the containment grid with the bitmask of the voters
+    approving it, by testing every voter against every point.
 
-    Platforms: the distinct left endpoints of a line society, the slate of a
-    candidate society, the grid of per-axis distinct lower endpoints of a
-    box society.  Deduplicated, most voters first (ties by value), masks
-    contained in another dropped, all kept past 4000 distinct masks.
-    O(P n) Fraction containment tests, O(n^(d+1)) for d-boxes; kept
-    independent of the difference-array masks it cross-checks.
+    The points are the distinct left endpoints of a line society, the slate
+    of a candidate society, or the grid of per-axis distinct lower endpoints
+    of a box society, as coordinate tuples in ``itertools.product`` order of
+    the sorted axes; a line or slate voter is the 1-box of its interval.
+    O(P n) exact containment tests for P points; kept independent of the
+    difference-array masks it cross-checks.
     """
-    voters = society.voters
     spectrum = society.spectrum
-    masks: set[int] = set()
-
+    boxes = [
+        (1 << i, v.approval if isinstance(v.approval, Box) else Box((v.approval,)))
+        for i, v in enumerate(society.voters)
+        if v.approval is not None
+    ]
     if isinstance(spectrum, CandidateSpectrum):
-        for c in spectrum.candidates:
-            mask = 0
-            for i, v in enumerate(voters):
-                if isinstance(v.approval, Interval) and v.approval.contains(c):
-                    mask |= 1 << i
-            masks.add(mask)
-    elif isinstance(spectrum, LineSpectrum):
-        for p in {v.approval.lo for v in voters if isinstance(v.approval, Interval)}:
-            mask = 0
-            for i, v in enumerate(voters):
-                if isinstance(v.approval, Interval) and v.approval.contains(p):
-                    mask |= 1 << i
-            masks.add(mask)
+        axes = [spectrum.candidates]
     else:
-        boxes = [(i, v.approval) for i, v in enumerate(voters) if isinstance(v.approval, Box)]
-        axes = [sorted({b.sides[axis].lo for _, b in boxes}) for axis in range(spectrum.dimension)]
-        for point in itertools.product(*axes):
-            mask = 0
-            for i, b in boxes:
-                if b.contains(point):
-                    mask |= 1 << i
-            masks.add(mask)
+        dimension = spectrum.dimension if isinstance(spectrum, BoxSpectrum) else 1
+        axes = [sorted({b.sides[axis].lo for _, b in boxes}) for axis in range(dimension)]
+    for point in itertools.product(*axes):
+        yield point, sum(bit for bit, b in boxes if b.contains(point))
 
-    masks.discard(0)
-    ordered = sorted(masks, key=lambda m: (-m.bit_count(), m))
+
+def brute_platform_masks(society: Society) -> list[int]:
+    """Platform masks read off the containment grid.
+
+    Deduplicated, most voters first (ties by value), masks contained in
+    another dropped, all kept past 4000 distinct masks.
+    """
+    ordered = sorted({mask for _, mask in _brute_grid(society)} - {0}, key=lambda m: (-m.bit_count(), m))
     if len(ordered) > 4000:
         return ordered
     maximal: list[int] = []
@@ -419,24 +396,16 @@ def brute_platform_masks(society: Society) -> list[int]:
 
 
 def brute_box_depth(society: Society) -> AgreementReport:
-    """Box agreement by counting the boxes containing each grid point.
+    """Box agreement by counting the voters approving each grid point.
 
     The grid of per-axis lower endpoints is exhaustive: a maximum-depth
     point shifts, axis by axis, down to the largest lower endpoint among the
     boxes containing it.  Witnesses are the optimal grid points in
-    ``itertools.product`` order.  O(n^(d+1)) Fraction containment tests.
+    ``itertools.product`` order.
     """
     if not isinstance(society.spectrum, BoxSpectrum):
         raise ValueError("brute_box_depth applies to box societies")
-    boxes = [v.approval for v in society.voters if isinstance(v.approval, Box)]
-    axes = [sorted({b.sides[axis].lo for b in boxes}) for axis in range(society.spectrum.dimension)]
-    best = 0
-    witnesses: list[tuple] = []
-    for point in itertools.product(*axes):
-        depth = sum(1 for b in boxes if b.contains(point))
-        if depth > best:
-            best = depth
-            witnesses = [point]
-        elif depth == best and best > 0:
-            witnesses.append(point)
-    return AgreementReport(best, society.n, tuple(witnesses))
+    depths = [(point, mask.bit_count()) for point, mask in _brute_grid(society)]
+    best = max((depth for _, depth in depths), default=0)
+    witnesses = tuple(point for point, depth in depths if depth == best > 0)
+    return AgreementReport(best, society.n, witnesses)

@@ -3,11 +3,12 @@
 Each suite generates a deterministic stream of random instances from a
 base seed (child seeds are ``crc32(label) * 1_000_003 + index`` offsets of
 the base; see README) and re-verifies the package's guarantees on them:
-sweeps against endpoint enumeration, greedy colorings against brute-force
-clique numbers, every lower bound against computed agreement numbers, and
-the purely graph-theoretic statements against exhaustive search.  The
-fixed-construction regressions (tight generators, the 5-cycle box
-society) run in every suite invocation regardless of the trial count.
+sweep reports against scoring every endpoint and gap, box depth and
+platform masks against the containment grid, greedy colorings against
+brute-force clique numbers, every lower bound against computed agreement
+numbers, and the purely graph-theoretic statements against exhaustive
+search.  The fixed-construction regressions (tight generators, the 5-cycle
+box society) run in every suite invocation regardless of the trial count.
 
 A violation report always carries the child seed that reproduces the
 failing instance, and the instance itself can be written to a directory
@@ -22,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ._frozen import Frozen
-from .agreeability import AgreeParams, is_km_agreeable
+from .agreeability import AgreeParams, is_km_agreeable, platform_masks
 from .agreement import agreement, common_platform, good_set_count, good_set_lower_bound, two_platform_cover
 from .bounds import clique_bound, division, fractional_helly_bound, proportion_bound, small_m_bound
 from .generators import (
@@ -36,13 +37,14 @@ from .generators import (
 )
 from .graphs import agreement_graph, greedy_interval_coloring
 from .oracles import (
-    brute_agreement_line,
+    brute_box_depth,
     brute_chromatic,
     brute_clique,
     brute_first_fit_coloring,
     brute_interval_graph,
-    brute_line_witnesses,
+    brute_line_agreement,
     brute_min_vertex_cover,
+    brute_platform_masks,
     check_cover_lemma,
     every_m_subset_has_k_clique,
     is_perfect_by_enumeration,
@@ -139,17 +141,6 @@ def _farey_image(society: Society) -> Society:
     )
 
 
-def _sweep_against_oracles(society: Society, report) -> tuple[bool, str]:
-    """Whether the sweep's report matches the endpoint oracles, and both."""
-    best = brute_agreement_line(society)
-    witnesses = brute_line_witnesses(society)
-    ok = report.agreement_number == best and report.witnesses == witnesses
-    return ok, (
-        f"sweep={report.agreement_number} oracle={best}"
-        f" witnesses={[str(w) for w in report.witnesses]} oracle_witnesses={[str(w) for w in witnesses]}"
-    )
-
-
 def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> list[PropertyResult]:
     rec = _Recorder("linear", failure_dir)
 
@@ -166,9 +157,13 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
 
         report = agreement(society)
         image = _farey_image(society)
-        ok, detail = _sweep_against_oracles(society, report)
-        image_ok, image_detail = _sweep_against_oracles(image, agreement(image))
-        rec.check("sweep-matches-endpoint-oracle", ok and image_ok, f"{tag} {detail} image: {image_detail}", art)
+        reports = (report, brute_line_agreement(society), agreement(image), brute_line_agreement(image))
+        rec.check(
+            "sweep-matches-endpoint-oracle",
+            reports[0] == reports[1] and reports[2] == reports[3],
+            f"{tag} sweep, oracle, image sweep, image oracle: {[r.to_obj() for r in reports]}",
+            art,
+        )
         for w in report.witnesses:
             depth = sum(
                 1
@@ -327,10 +322,13 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
         report = agreement(society)
         graph = agreement_graph(society)
         omega = brute_clique(graph)
+        same_depth = report == brute_box_depth(society)
+        same_masks = platform_masks(society) == brute_platform_masks(society)
         rec.check(
             "box-depth-equals-brute-clique",
-            report.agreement_number == omega,
-            f"{tag} depth={report.agreement_number} omega={omega}",
+            report.agreement_number == omega and same_depth and same_masks,
+            f"{tag} depth={report.agreement_number} omega={omega}"
+            f" grid_oracle={same_depth} masks_oracle={same_masks}",
             art,
         )
 

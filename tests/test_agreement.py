@@ -23,7 +23,7 @@ from agreeable import (
 )
 from agreeable.agreeability import platform_masks
 from agreeable.agreement import _order_keys
-from agreeable.oracles import brute_agreement_line, brute_box_depth, brute_line_witnesses
+from agreeable.oracles import brute_box_depth, brute_line_agreement
 
 from strategies import (
     box_societies,
@@ -66,7 +66,7 @@ def test_all_empty_society():
     report = agreement(society)
     assert report.agreement_number == 0
     assert report.witnesses == ()
-    assert brute_line_witnesses(society) == ()
+    assert brute_line_agreement(society) == report
 
 
 def test_witness_regions_merge():
@@ -86,17 +86,13 @@ def test_witness_covers_plateau():
 @given(line_societies(max_n=12))
 @settings(max_examples=150)
 def test_sweep_matches_endpoint_oracle(society):
-    report = agreement(society)
-    assert report.agreement_number == brute_agreement_line(society)
-    assert report.witnesses == brute_line_witnesses(society)
+    assert agreement(society) == brute_line_agreement(society)
 
 
 @given(crowded_line_societies())
 @settings(max_examples=300)
 def test_sweep_report_matches_witness_oracle_on_crowded_rationals(society):
-    report = agreement(society)
-    assert report.agreement_number == brute_agreement_line(society)
-    assert report.witnesses == brute_line_witnesses(society)
+    assert agreement(society) == brute_line_agreement(society)
 
 
 def test_sweep_separates_farey_neighbours_with_huge_denominators():
@@ -108,7 +104,7 @@ def test_sweep_separates_farey_neighbours_with_huge_denominators():
     report = agreement(society)
     assert report.agreement_number == 2
     assert report.witnesses == (make_interval(-1, left), make_interval(right, 1))
-    assert report.witnesses == brute_line_witnesses(society)
+    assert report == brute_line_agreement(society)
 
 
 def _sign(x) -> int:

@@ -258,6 +258,17 @@ def test_bounds_text_prints_the_fractional_helly_bound(capsys):
     assert "fractional_helly: 1 - (451/455)^(1/3) in [0.002939, 0.00294]\n" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bounds_refuses_a_bound_past_the_digit_limit(capsys, default_int_digit_limit, fmt):
+    # C(20010, 10001) has over 6000 digits: nothing is printed, not even the
+    # bounds before the fractional Helly one.
+    argv = ["bounds", "--k", "10002", "--m", "20010", "--d", "10000", "--format", fmt]
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the fractional_helly bound's radicand has more than 4300 digits\n"
+
+
 def test_verify_command_passes(capsys):
     code, out, _ = run_cli(["verify", "--suite", "graph", "--trials", "10", "--seed", "1"], capsys=capsys)
     assert code == 0

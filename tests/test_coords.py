@@ -32,7 +32,7 @@ from agreeable import (
     two_platform_cover,
 )
 from agreeable.agreeability import platform_masks
-from agreeable.oracles import brute_line_witnesses
+from agreeable.oracles import brute_line_agreement
 from agreeable.society import LineSpectrum, _exact_decimal, _fraction, as_coord
 from agreeable.verify import _farey_image
 
@@ -68,7 +68,7 @@ def _outputs(society: Society) -> list:
     report = agreement(society)
     out = [report.witnesses, list(report.per_candidate or ()), society._platform_table.axes]
     if isinstance(society.spectrum, LineSpectrum):
-        out.append(brute_line_witnesses(society))
+        out.append(brute_line_agreement(society).witnesses)
         if -1 not in _coords(society):  # x -> x/(x+1) is undefined at -1
             out.append(_farey_image(society))
     if not isinstance(society.spectrum, BoxSpectrum) and all(v.approval is not None for v in society.voters):
@@ -116,7 +116,7 @@ def test_oracle_midpoints_stay_exact():
     # which would merge the two witnesses across a gap of depth 0.
     big = 10**20
     society = linear_society([(big, big), (big + 1, big + 1)])
-    assert brute_line_witnesses(society) == (Interval(big, big), Interval(big + 1, big + 1))
+    assert brute_line_agreement(society).witnesses == (Interval(big, big), Interval(big + 1, big + 1))
 
 
 def test_entry_points_give_whole_numbers_as_ints():

@@ -17,10 +17,9 @@ from agreeable import (
 from agreeable.generators import random_graph
 from agreeable.graphs import Graph, graph_from_edges
 from agreeable.oracles import (
-    brute_agreement_line,
-    brute_line_witnesses,
     brute_chromatic,
     brute_clique,
+    brute_line_agreement,
     brute_min_vertex_cover,
     check_cover_lemma,
     every_m_subset_has_k_clique,
@@ -207,26 +206,27 @@ def test_hypothesis_filtered_graphs_satisfy_theorems():
 @given(line_societies(max_n=10))
 @settings(max_examples=60)
 def test_brute_agreement_matches_sweep(society):
-    assert brute_agreement_line(society) == agreement(society).agreement_number
+    assert brute_line_agreement(society) == agreement(society)
 
 
 def test_brute_line_witnesses_examples():
     # Touching intervals meet in one point; a plateau spans an inner event;
     # separate optima stay separate; a point interval is its own witness.
-    assert brute_line_witnesses(linear_society([(0, 1), (1, 2)])) == (make_interval(1, 1),)
-    assert brute_line_witnesses(linear_society([(0, 3), (1, 4), (2, 2)])) == (make_interval(2, 2),)
-    assert brute_line_witnesses(linear_society([(0, 3), (1, 4)])) == (make_interval(1, 3),)
-    assert brute_line_witnesses(linear_society([(0, 1), (0, 1), (5, 6), (5, 6)])) == (
-        make_interval(0, 1),
-        make_interval(5, 6),
-    )
-    assert brute_line_witnesses(linear_society([(-3, -3), None])) == (make_interval(-3, -3),)
-    assert brute_line_witnesses(linear_society([None, None])) == ()
+    def oracle(intervals):
+        report = brute_line_agreement(linear_society(intervals))
+        return report.agreement_number, report.witnesses
+
+    assert oracle([(0, 1), (1, 2)]) == (2, (make_interval(1, 1),))
+    assert oracle([(0, 3), (1, 4), (2, 2)]) == (3, (make_interval(2, 2),))
+    assert oracle([(0, 3), (1, 4)]) == (2, (make_interval(1, 3),))
+    assert oracle([(0, 1), (0, 1), (5, 6), (5, 6)]) == (2, (make_interval(0, 1), make_interval(5, 6)))
+    assert oracle([(-3, -3), None]) == (1, (make_interval(-3, -3),))
+    assert oracle([None, None]) == (0, ())
 
 
 def test_brute_line_witnesses_requires_line_spectrum():
-    with pytest.raises(ValueError):
-        brute_line_witnesses(candidate_society([1, 2], [(0, 3)]))
+    with pytest.raises(ValueError, match="applies to line societies"):
+        brute_line_agreement(candidate_society([1, 2], [(0, 3)]))
 
 
 # Differential tests of the bitmask graph oracles against set-based

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import agreeable.verify as verify_mod
+from agreeable import AgreementReport
 from agreeable.verify import child_seed, run_suites
 
 
@@ -42,11 +43,23 @@ def test_harness_detects_mutations(monkeypatch, tmp_path):
 
 
 def test_failing_seed_is_reported(monkeypatch):
-    monkeypatch.setattr(verify_mod, "brute_agreement_line", lambda s: -1)
+    monkeypatch.setattr(verify_mod, "brute_line_agreement", lambda s: AgreementReport(-1, s.n, ()))
     report = run_suites("linear", 5, seed=2)
     sweep = [r for r in report.results if r.name == "sweep-matches-endpoint-oracle"][0]
     assert sweep.violations
     assert all("seed=" in v for v in sweep.violations)
+
+
+@pytest.mark.parametrize(
+    "oracle, wrong",
+    [("brute_box_depth", lambda s: AgreementReport(0, s.n, ())), ("brute_platform_masks", lambda s: [])],
+)
+def test_box_property_compares_the_grid_oracles(monkeypatch, oracle, wrong):
+    monkeypatch.setattr(verify_mod, oracle, wrong)
+    report = run_suites("box", 6, seed=1)
+    depth = next(r for r in report.results if r.name == "box-depth-equals-brute-clique")
+    assert depth.checked == 6
+    assert len(depth.violations) == 6
 
 
 def test_child_seed_is_stable():
