@@ -4,17 +4,19 @@ The agreement number of a platform is the number of voters approving it;
 the agreement number of a society is the maximum over all platforms of the
 spectrum.  Everything here is exact rational arithmetic.
 
-Costs: the line sweep is O(n log n) comparisons of plain ints.  Each
-endpoint p/q becomes the integer key (p << s) // q, with s = 2b + 1 for the
-largest denominator bit length b: distinct endpoints differ by more than
-2**-2b, so the keys order them exactly and no Fraction is hashed or
-compared while counting, sorting and merging.  The candidate tally reads
-each voter's run of the slate, bisected once per society
-(``Society._candidate_runs``), into a difference array, O(n log c + c)
-for c candidates.  Box depth reads the voter count of each point of the
-grid of per-axis lower endpoints from the society's cached platform
-masks: O(n log P + P) big-int operations per axis of P coordinates and
-O(P^d * d) ANDs for the grid, capped at 30 voters and 3 dimensions.
+Costs: the line sweep is O(n log n) comparisons of plain ints.  It reads
+the society's integer span view (``Society._spans``), where each endpoint
+p/q is the integer key (p << s) // q, with s = 2b + 1 for the largest
+denominator bit length b: distinct endpoints differ by more than 2**-2b, so
+the keys order them exactly and no Fraction is hashed or compared while
+counting, sorting and merging.  The candidate tally reads the same view,
+each voter's first and last approved candidate index (bisected once per
+society, or handed over by ``restrict_to_candidates``), into a difference
+array, O(n log c + c) for c candidates.  Box depth reads the voter count
+of each point of the grid of per-axis lower endpoints from the society's
+cached platform masks: O(n log P + P) big-int operations per axis of P
+coordinates and O(P^d * d) ANDs for the grid, capped at 30 voters and 3
+dimensions.
 
 Closed-interval semantics enter the computation in two places: the line
 sweep processes interval starts before interval ends at equal coordinates,
@@ -90,41 +92,27 @@ class AgreementReport(Frozen):
         return obj
 
 
-def _order_keys(values: list[Coord]) -> list[int]:
-    """Exact integer order keys: ``keys[i] < keys[j]`` iff ``values[i] < values[j]``.
-
-    Let b be the largest denominator bit length among ``values`` and
-    s = 2b + 1; the key of x = p/q is floor(x * 2**s) = (p << s) // q.  Two
-    distinct values differ by at least 1/(q q') > 2**-2b, so their scaled
-    values differ by more than 2 and their floors keep their order: the map
-    is strictly monotone, hence injective, and equal values get equal keys.
-    """
-    shift = 2 * max(x.denominator for x in values).bit_length() + 1
-    return [(x.numerator << shift) // x.denominator for x in values]
-
-
-def _sweep(intervals: list[Interval]) -> tuple[int, tuple[Interval, ...]]:
+def _sweep(intervals: list[Interval], lo_keys, hi_keys) -> tuple[int, tuple[Interval, ...]]:
     """Endpoint sweep over closed intervals.
 
-    Returns the maximum overlap count and the set of maximal closed
-    intervals on which it is attained.  At each event coordinate x the
-    depth *at* x is the count after processing starts and before ends
-    (starts-before-ends is what makes touching intervals overlap); the
-    depth on the open gap to the next coordinate is the count after ends.
-    Any interval covering an open gap contains both its endpoints, so gaps
-    at maximal depth always bridge two optimal event points.
+    ``lo_keys[i]`` and ``hi_keys[i]`` are the exact integer order keys of
+    ``intervals[i]``'s ends (``Society._spans``).  Returns the maximum
+    overlap count and the set of maximal closed intervals on which it is
+    attained.  At each event coordinate x the depth *at* x is the count
+    after processing starts and before ends (starts-before-ends is what
+    makes touching intervals overlap); the depth on the open gap to the
+    next coordinate is the count after ends.  Any interval covering an open
+    gap contains both its endpoints, so gaps at maximal depth always bridge
+    two optimal event points.
 
-    Counting, sorting and merging run on :func:`_order_keys`, plain ints;
-    only the witnesses' endpoints are mapped back to their Fractions.
+    Counting, sorting and merging run on the keys, plain ints; only the
+    witnesses' endpoints are mapped back to their coordinates.
     """
     if not intervals:
         return 0, ()
 
-    n = len(intervals)
-    endpoints = [iv.lo for iv in intervals] + [iv.hi for iv in intervals]
-    keys = _order_keys(endpoints)
-    starts = Counter(keys[:n])
-    ends = Counter(keys[n:])
+    starts = Counter(lo_keys)
+    ends = Counter(hi_keys)
     coords = sorted(starts.keys() | ends.keys())
 
     best = count = 0
@@ -135,7 +123,9 @@ def _sweep(intervals: list[Interval]) -> tuple[int, tuple[Interval, ...]]:
         count -= ends.get(x, 0)
 
     # A maximal optimal interval opens at an event point of depth ``best``
-    # and closes at the first event point after which the depth drops.
+    # and closes at the first event point after which the depth drops.  The
+    # depth rises only at a left end and falls only at a right end, so a run
+    # opens at some interval's left end and closes at some right end.
     runs: list[tuple[int, int]] = []
     opened = None
     count = 0
@@ -148,8 +138,11 @@ def _sweep(intervals: list[Interval]) -> tuple[int, tuple[Interval, ...]]:
             runs.append((opened, x))
             opened = None
 
-    coord_of = dict(zip(keys, endpoints))
-    return best, tuple(Interval(coord_of[lo], coord_of[hi]) for lo, hi in runs)
+    opens = {lo for lo, _ in runs}
+    closes = {hi for _, hi in runs}
+    lo_of = {key: iv.lo for iv, key in zip(intervals, lo_keys) if key in opens}
+    hi_of = {key: iv.hi for iv, key in zip(intervals, hi_keys) if key in closes}
+    return best, tuple(Interval(lo_of[lo], hi_of[hi]) for lo, hi in runs)
 
 
 def _box_agreement(society: Society) -> AgreementReport:
@@ -176,7 +169,12 @@ def agreement(society: Society) -> AgreementReport:
     spectrum = society.spectrum
 
     if isinstance(spectrum, LineSpectrum):
-        best, witnesses = _sweep([iv for iv in society._intervals if iv is not None])
+        lo_keys, hi_keys = society._spans
+        intervals = [v.approval for v in society.voters if v.approval is not None]
+        if len(intervals) < society.n:
+            lo_keys = [key for key in lo_keys if key is not None]
+            hi_keys = [key for key in hi_keys if key is not None]
+        best, witnesses = _sweep(intervals, lo_keys, hi_keys)
         return AgreementReport(best, society.n, witnesses)
 
     if isinstance(spectrum, CandidateSpectrum):
@@ -184,10 +182,10 @@ def agreement(society: Society) -> AgreementReport:
         # -1 just past its end; prefix sums give every candidate's tally.
         cs = spectrum.candidates
         diff = [0] * (len(cs) + 1)
-        for span in society._candidate_runs:
-            if span is not None:
-                diff[span[0]] += 1
-                diff[span[1]] -= 1
+        for lo, hi in zip(*society._spans):
+            if lo is not None:
+                diff[lo] += 1
+                diff[hi + 1] -= 1
         tally = dict(zip(cs, itertools.accumulate(diff)))
         best = max(tally.values())
         witnesses = tuple(c for c in spectrum.candidates if tally[c] == best)

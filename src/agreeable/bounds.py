@@ -64,20 +64,25 @@ def nth_root_enclosure(x: Fraction, degree: int, digits: int) -> tuple[Fraction,
 
     Returns rationals (lo, hi) with lo <= x**(1/degree) <= hi, computed by
     integer binary search on t/10**digits; no floating point is involved.
+    The roots of 0 and 1 are exact at once, and the root of x < 1 lies in
+    [0, 1], so only a radicand above 1 widens the first bracket.
     """
     if x < 0:
         raise ValueError("radicand must be non-negative")
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    if x == 0 or x == 1:
+        return Fraction(x), Fraction(x)
     scale = 10**digits
-    hi_int = 1
-    while Fraction(hi_int, scale) ** degree < x:
+    bound = x.numerator * scale**degree
+    hi_int = scale
+    while hi_int**degree * x.denominator < bound:
         hi_int *= 2
     lo_int = 0
     # invariant: (lo_int/scale)^degree <= x < ((hi_int+1)/scale)^degree
     while lo_int < hi_int:
         mid = (lo_int + hi_int + 1) // 2
-        if mid**degree * x.denominator <= x.numerator * scale**degree:
+        if mid**degree * x.denominator <= bound:
             lo_int = mid
         else:
             hi_int = mid - 1
@@ -143,7 +148,9 @@ def fractional_helly_bound(d: int, params: AgreeParams) -> FractionalHellyBound:
         raise ValueError("dimension must be >= 1")
     if m <= d:
         raise ValueError(f"need m > d, got m={m}, d={d}")
-    alpha = Fraction(math.comb(k, d + 1), math.comb(m, d + 1))
+    # C(m, d+1) has about (d+1) log10(m) digits: not built when alpha is 0.
+    good = math.comb(k, d + 1)
+    alpha = Fraction(good, math.comb(m, d + 1)) if good else Fraction(0)
     return FractionalHellyBound(1 - alpha, d + 1)
 
 

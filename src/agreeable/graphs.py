@@ -5,11 +5,14 @@ sets intersect.  For line, candidate and 1-box societies this is an
 interval graph, whose clique number equals the society's agreement number;
 the first-fit coloring below realizes that equality constructively.
 
-Both read the society's interval view, ``Society._intervals`` (the
-interval, the candidate hull or the 1-box side of each voter), and run on
-sorted endpoints: the graph in O(n log n + E) for E edges, the coloring in
-O(n log n).  Boxes with d >= 2 have no interval view: their graph tests
-every pair of voters, O(n^2 d), and the coloring refuses them.
+Both read the society's integer span view, ``Society._spans`` (per voter,
+the indices of the first and last approved candidate on a slate, the exact
+order keys of the interval's ends on the line and on 1-boxes), and run on
+sorted ints: the graph in O(n log n + E) for E edges, the coloring in
+O(n log n).  The graph's edges are normalized as they are built, so the
+Graph is made without re-checking them.  Boxes with d >= 2 have no span
+view: their graph tests every pair of voters, O(n^2 d), and the coloring
+refuses them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from bisect import bisect_right
 from functools import cached_property
 
 from ._frozen import Frozen, set_field
-from .society import BoxSpectrum, Coord, Society, require_valid
+from .society import BoxSpectrum, Society, require_valid
 
 
 class Graph(Frozen):
@@ -46,6 +49,15 @@ class Graph(Frozen):
                 raise ValueError(f"edge ({u}, {v}) not in vertex order")
         set_field(self, "vertices", vertices)
         set_field(self, "edges", edges)
+
+    @classmethod
+    def _trusted(cls, vertices: tuple[str, ...], edges: frozenset[tuple[str, str]]) -> "Graph":
+        """A Graph whose edges its builder made normalized, on distinct
+        vertices, so that the per-edge checks of ``__init__`` are skipped."""
+        graph = object.__new__(cls)
+        set_field(graph, "vertices", vertices)
+        set_field(graph, "edges", edges)
+        return graph
 
     @property
     def n(self) -> int:
@@ -141,18 +153,19 @@ def agreement_graph(society: Society) -> Graph:
                 b = approvals[j]
                 if b is not None and a.intersect(b) is not None:
                     edges.add((ids[i], ids[j]))
-        return Graph(ids, frozenset(edges))
+        return Graph._trusted(ids, frozenset(edges))
 
-    # Sorted by left endpoint, an interval meets exactly the intervals after
-    # it whose left endpoint is at most its right endpoint: a contiguous run.
-    reps = society._intervals
-    order = sorted((i for i, iv in enumerate(reps) if iv is not None), key=lambda i: reps[i].lo)
-    los = [reps[i].lo for i in order]
-    edges = set()
-    for p, i in enumerate(order):
-        for j in order[p + 1 : bisect_right(los, reps[i].hi, p + 1)]:
-            edges.add((ids[i], ids[j]) if i < j else (ids[j], ids[i]))
-    return Graph(ids, frozenset(edges))
+    # Sorted by left end, a span meets exactly the spans after it whose left
+    # end is at most its right end: a contiguous run.
+    los, his = society._spans
+    order = sorted([i for i, lo in enumerate(los) if lo is not None], key=los.__getitem__)
+    starts = [los[i] for i in order]
+    edges = frozenset([
+        (ids[i], ids[j]) if i < j else (ids[j], ids[i])
+        for p, i in enumerate(order)
+        for j in order[p + 1 : bisect_right(starts, his[i], p + 1)]
+    ])
+    return Graph._trusted(ids, edges)
 
 
 def greedy_interval_coloring(society: Society) -> Coloring:
@@ -170,34 +183,32 @@ def greedy_interval_coloring(society: Society) -> Coloring:
     The neighbors are tracked with a max-heap on left endpoints and the
     free colors with a min-heap, so the whole pass is O(n log n).
     """
-    reps = list(zip(society.voter_ids(), society._intervals))
-    empties = [(vid, iv) for vid, iv in reps if iv is None]
-    filled = [(vid, iv) for vid, iv in reps if iv is not None]
-    # sorted() is stable: equal right endpoints keep society order.
-    order = empties + sorted(filled, key=lambda r: r[1].hi, reverse=True)
+    require_valid(society)
+    los, his = society._spans
+    ids = society.voter_ids()
+    assignment = dict.fromkeys([vid for vid, hi in zip(ids, his) if hi is None], 1)
+    # sorted() is stable, with reverse=True too: equal right ends keep society order.
+    order = sorted([i for i, hi in enumerate(his) if hi is not None], key=his.__getitem__, reverse=True)
 
-    # Right endpoints only decrease from here on, so a colored interval whose
-    # left endpoint lies above the current one's right endpoint meets no later
-    # voter either: it leaves ``active`` for good and frees its color.  The
-    # active intervals all contain the current right endpoint, hold distinct
-    # colors, and are exactly the current voter's colored neighbors.
-    assignment: dict[str, int] = {}
-    active: list[tuple[Coord, int]] = []  # (-lo, color): a max-heap on lo
+    # Right ends only decrease from here on, so a colored span whose left end
+    # lies above the current one's right end meets no later voter either: it
+    # leaves ``active`` for good and frees its color.  The active spans all
+    # contain the current right end, hold distinct colors, and are exactly
+    # the current voter's colored neighbors.
+    active: list[tuple[int, int]] = []  # (-lo, color): a max-heap on lo
     free: list[int] = []
     used = 0
-    for vid, iv in order:
-        if iv is None:
-            assignment[vid] = 1
-            continue
-        while active and -active[0][0] > iv.hi:
+    for i in order:
+        hi = his[i]
+        while active and -active[0][0] > hi:
             heapq.heappush(free, heapq.heappop(active)[1])
         if free:
             color = heapq.heappop(free)
         else:
             used += 1
             color = used
-        assignment[vid] = color
-        heapq.heappush(active, (-iv.lo, color))
+        assignment[ids[i]] = color
+        heapq.heappush(active, (-los[i], color))
     return Coloring(assignment)
 
 
@@ -214,7 +225,8 @@ def clique_number_linear(society: Society) -> int:
     """
     from .agreement import agreement
 
-    if all(iv is None for iv in society._intervals):
+    require_valid(society)
+    if all(lo is None for lo in society._spans[0]):
         return 0
     number = agreement(society).agreement_number
     colors = greedy_interval_coloring(society).num_colors

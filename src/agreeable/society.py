@@ -259,35 +259,35 @@ class Society(Frozen):
         return _build_platform_table(self)
 
     @cached_property
-    def _intervals(self) -> tuple[Interval | None, ...]:
-        """Each voter's approval set as one closed interval, built on first use.
+    def _spans(self) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
+        """Each voter's approval as a closed span of ints, built on first
+        use: two parallel tuples ``(lo, hi)``, None in both for a voter
+        approving nothing.
 
-        The interval itself on the line, the hull of the approved candidates
-        on a slate (two hulls meet iff the voters share a candidate), the one
-        side of a 1-box; None for a voter approving nothing.  The agreement
-        graph is the intersection graph of these intervals.  Raises
-        ValueError for a malformed society and for boxes with d >= 2.
+        On a slate, the indices of the first and the last approved candidate
+        (:func:`_candidate_range`); on the line and on 1-boxes, the
+        :func:`_order_keys` of the interval's ends.  Two spans meet iff the
+        approval sets do, so the sweep, the tally, the agreement graph and
+        the coloring compare ints only.  Two tuples rather than a pair per
+        voter, so that the view allocates nothing per voter.
+
+        :func:`restrict_to_candidates` hands its election this view, so its
+        readers call :func:`require_valid` themselves.  Raises ValueError for
+        a malformed society and for boxes with d >= 2.
         """
         require_valid(self)
         spec = self.spectrum
+        if isinstance(spec, CandidateSpectrum):
+            return _slate_spans([v.approval for v in self.voters], spec.candidates)
         if isinstance(spec, BoxSpectrum):
             if spec.dimension != 1:
                 raise ValueError("no interval representation for boxes with d >= 2")
-            return tuple(None if v.approval is None else v.approval.sides[0] for v in self.voters)
-        if isinstance(spec, CandidateSpectrum):
-            cs = spec.candidates
-            return tuple(None if r is None else Interval(cs[r[0]], cs[r[1] - 1]) for r in self._candidate_runs)
-        return tuple(v.approval for v in self.voters)
-
-    @cached_property
-    def _candidate_runs(self) -> tuple[tuple[int, int] | None, ...]:
-        """Each voter's run ``(i, j)`` of a slate society's candidates, built
-        on first use: ``candidates[i:j]`` are the candidates it approves;
-        None when it approves none.  The tally, the interval view and the
-        platform table read it, so each voter is bisected into the slate
-        once.  Raises ValueError for a malformed society."""
-        require_valid(self)
-        return tuple(_candidate_range(v.approval, self.spectrum.candidates) for v in self.voters)
+            sides = [None if v.approval is None else v.approval.sides[0] for v in self.voters]
+        else:
+            sides = [v.approval for v in self.voters]
+        ends = [None if iv is None else iv.lo for iv in sides] + [None if iv is None else iv.hi for iv in sides]
+        keys = tuple(_order_keys(ends))
+        return keys[: len(sides)], keys[len(sides) :]
 
     def voter_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.voters)
@@ -402,19 +402,42 @@ def require_valid(society: Society) -> None:
         raise ValueError("invalid society: " + "; ".join(violations))
 
 
-def _candidate_range(interval: Interval | None, candidates: tuple[Coord, ...]) -> tuple[int, int] | None:
-    """Index range ``(i, j)`` of the sorted candidates inside a closed interval.
+def _order_keys(values: list[Coord | None]) -> list[int | None]:
+    """Exact integer order keys: ``keys[i] < keys[j]`` iff ``values[i] < values[j]``.
 
-    ``candidates[i:j]`` are exactly the candidates the interval contains;
-    None when it contains none (or is the empty set).  Two bisections:
-    O(log c) comparisons, so the candidates must be strictly increasing, as
+    Let b be the largest denominator bit length among ``values`` and
+    s = 2b + 1; the key of x = p/q is floor(x * 2**s) = (p << s) // q.  Two
+    distinct values differ by at least 1/(q q') > 2**-2b, so their scaled
+    values differ by more than 2 and their floors keep their order: the map
+    is strictly monotone, hence injective, and equal values get equal keys.
+    A None value (an empty approval set) keeps None as its key.
+    """
+    shift = 2 * max((x.denominator for x in values if x is not None), default=1).bit_length() + 1
+    return [None if x is None else (x.numerator << shift) // x.denominator for x in values]
+
+
+def _candidate_range(interval: Interval | None, candidates: tuple[Coord, ...]) -> tuple[int, int] | None:
+    """Indices ``(i, j)`` of the first and the last sorted candidate inside a
+    closed interval.
+
+    ``candidates[i : j + 1]`` are exactly the candidates the interval
+    contains; None when it contains none (or is the empty set).  Two
+    bisections, left on the lower end and right on the upper end: O(log c)
+    comparisons, so the candidates must be strictly increasing, as
     :func:`validate` requires of a candidate spectrum.
     """
     if interval is None:
         return None
     i = bisect_left(candidates, interval.lo)
-    j = bisect_right(candidates, interval.hi, i)
-    return (i, j) if i < j else None
+    j = bisect_right(candidates, interval.hi, i) - 1
+    return (i, j) if i <= j else None
+
+
+def _slate_spans(intervals, candidates: tuple[Coord, ...]) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
+    """:attr:`Society._spans` of intervals on a slate: each one's
+    :func:`_candidate_range`, as two parallel tuples."""
+    spans = [_candidate_range(iv, candidates) or (None, None) for iv in intervals]
+    return tuple(span[0] for span in spans), tuple(span[1] for span in spans)
 
 
 class _PlatformTable(Frozen):
@@ -467,7 +490,7 @@ def _build_platform_table(society: Society) -> _PlatformTable:
 
     Each axis takes one pass: a voter's side covers one run of the axis's
     sorted coordinates, found by two bisections (:func:`_candidate_range`;
-    on a slate, :attr:`Society._candidate_runs`); its bit is XORed into a
+    on a slate, :attr:`Society._spans`); its bit is XORed into a
     difference array at both ends of the run, and a prefix XOR gives the
     mask at every coordinate.  A grid point's mask is the AND of its axis
     masks.  O(n log P + P) big-int operations per axis of P coordinates and
@@ -479,7 +502,7 @@ def _build_platform_table(society: Society) -> _PlatformTable:
     spec = society.spectrum
     if isinstance(spec, CandidateSpectrum):
         axes = [spec.candidates]
-        runs = [[(1 << i, run) for i, run in enumerate(society._candidate_runs)]]
+        runs = [[(1 << i, None if lo is None else (lo, hi)) for i, (lo, hi) in enumerate(zip(*society._spans))]]
     else:
         if isinstance(spec, BoxSpectrum):
             _require_box_caps(society)
@@ -499,22 +522,16 @@ def _build_platform_table(society: Society) -> _PlatformTable:
         for bit, span in axis_runs:
             if span is not None:
                 diff[span[0]] ^= bit
-                diff[span[1]] ^= bit
+                diff[span[1] + 1] ^= bit
         axis_masks = list(itertools.accumulate(diff[:-1], operator.xor))
         masks = [m & x for m in masks for x in axis_masks]
     return _PlatformTable(tuple(axes), tuple(masks))
 
 
-def _candidate_hull(interval: Interval | None, candidates: tuple[Coord, ...]) -> Interval | None:
-    """Minimal closed interval spanning the candidates inside ``interval``."""
-    span = _candidate_range(interval, candidates)
-    return None if span is None else Interval(candidates[span[0]], candidates[span[1] - 1])
-
-
 def approved_candidates(interval: Interval | None, spectrum: CandidateSpectrum) -> tuple[Coord, ...]:
     """The candidates a voter with this interval approves (a contiguous run)."""
     span = _candidate_range(interval, spectrum.candidates)
-    return () if span is None else spectrum.candidates[span[0] : span[1]]
+    return () if span is None else spectrum.candidates[span[0] : span[1] + 1]
 
 
 def restrict_to_candidates(society: Society, candidates) -> Society:
@@ -523,7 +540,9 @@ def restrict_to_candidates(society: Society, candidates) -> Society:
     Each approval set becomes the candidates inside the voter's interval,
     stored as the minimal closed interval spanning them (its endpoints are
     candidates, so candidate membership is unchanged).  Voters approving no
-    candidate are kept, with empty approval.  O(c log c + n log c).
+    candidate are kept, with empty approval.  O(c log c + n log c).  Each
+    voter is bisected into the slate once: the election receives those
+    spans as its :attr:`Society._spans`.
     """
     if not isinstance(society.spectrum, LineSpectrum):
         raise ValueError("restriction applies to line societies only")
@@ -531,12 +550,16 @@ def restrict_to_candidates(society: Society, candidates) -> Society:
     if not cs:
         raise ValueError("candidate slate is empty")
 
-    voters = []
     for v in society.voters:
         if v.approval is not None and not isinstance(v.approval, Interval):
             raise ValueError(f"voter {v.id}: line society carries a non-interval approval")
-        voters.append(Voter(v.id, _candidate_hull(v.approval, cs)))
-    return Society(CandidateSpectrum(cs), tuple(voters))
+    los, his = spans = _slate_spans([v.approval for v in society.voters], cs)
+    voters = tuple(
+        Voter(v.id, None if lo is None else Interval(cs[lo], cs[hi])) for v, lo, hi in zip(society.voters, los, his)
+    )
+    election = Society(CandidateSpectrum(cs), voters)
+    election.__dict__["_spans"] = spans
+    return election
 
 
 def to_box_society(society: Society) -> Society:

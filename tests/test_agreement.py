@@ -22,7 +22,7 @@ from agreeable import (
     two_platform_cover,
 )
 from agreeable.agreeability import platform_masks
-from agreeable.agreement import _order_keys
+from agreeable.society import _order_keys
 from agreeable.oracles import brute_box_depth, brute_line_agreement
 
 from strategies import (

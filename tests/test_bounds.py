@@ -131,6 +131,19 @@ def test_nth_root_enclosure_brackets(x, degree):
     assert lo**degree <= x <= hi**degree
 
 
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(1)])
+def test_nth_root_enclosure_of_zero_and_one_is_exact_at_any_degree(x):
+    # At degree 10**6 a bisection step would raise t/10**6 to that power.
+    assert nth_root_enclosure(x, 10**6, 6) == (x, x)
+
+
+def test_nth_root_enclosure_below_one_starts_from_the_unit_bracket():
+    # The root of x < 1 lies in [0, 1]: the same enclosure as a doubling
+    # search for the bracket would give.
+    assert nth_root_enclosure(Fraction(1, 1000), 3, 6) == (Fraction(1, 10), Fraction(1, 10))
+    assert nth_root_enclosure(Fraction(99, 100), 2, 4) == (Fraction(9949, 10000), Fraction(9950, 10000))
+
+
 def test_decimal_str():
     assert decimal_str(Fraction(1, 2)) == "0.5"
     assert decimal_str(Fraction(4, 7)) == "0.571429"

@@ -269,6 +269,27 @@ def test_bounds_refuses_a_bound_past_the_digit_limit(capsys, default_int_digit_l
     assert err == "error: the fractional_helly bound's radicand has more than 4300 digits\n"
 
 
+BOUNDS_WITH_NO_GOOD_SETS = {
+    "text": (
+        "k: 3\nm: 100000000\nq: 49999999\nrho: 1\nproportion_bound: 2/99999999\n"
+        "fractional_helly: 1 - (1)^(1/400001) in [0, 0]\n"
+    ),
+    "json": (
+        '{"k":3,"m":100000000,"q":49999999,"rho":1,"proportion_bound":"2/99999999",'
+        '"fractional_helly":{"radicand":"1","degree":400001,"enclosure":["0","0"]}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bounds_with_no_good_sets_answers_at_once(capsys, fmt):
+    # C(3, 400001) = 0, so the radicand is exactly 1: neither C(10**8, 400001)
+    # (seconds to build) nor a bisection at degree 400001 is needed.
+    argv = ["bounds", "--k", "3", "--m", "100000000", "--d", "400000", "--format", fmt]
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out, err) == (0, BOUNDS_WITH_NO_GOOD_SETS[fmt], "")
+
+
 def test_verify_command_passes(capsys):
     code, out, _ = run_cli(["verify", "--suite", "graph", "--trials", "10", "--seed", "1"], capsys=capsys)
     assert code == 0

@@ -132,18 +132,19 @@ def test_greedy_rejects_wide_boxes():
 def test_interval_view_by_spectrum():
     a, b = make_interval(0, 4), make_interval(5, 6)
     line = linear_society([a, None, b])
-    assert line._intervals == (a, None, b)
-    # Candidate hulls: the second voter approves no candidate.
+    # Whole numbers: the order key of x is x << 3.
+    assert line._spans == ((0, None, 40), (32, None, 48))
+    # Candidate indices: the second voter approves no candidate.
     slate = candidate_society([1, 3, 7], [(0, 4), (5, 6), None])
-    assert slate._intervals == (make_interval(1, 3), None, None)
-    assert to_box_society(line)._intervals == (a, None, b)
+    assert slate._spans == ((0, None, None), (1, None, None))
+    assert to_box_society(line)._spans == line._spans
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_wide_boxes_have_no_interval_view(dimension):
     society = box_society([[(0, 1)] * dimension, None, [(1, 2)] * dimension])
     message = "no interval representation for boxes with d >= 2"
-    for compute in (lambda s: s._intervals, greedy_interval_coloring, clique_number_linear):
+    for compute in (lambda s: s._spans, greedy_interval_coloring, clique_number_linear):
         with pytest.raises(ValueError, match=message):
             compute(society)
     assert agreement_graph(society).edges == {("v1", "v3")}

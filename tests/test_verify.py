@@ -72,7 +72,7 @@ def test_sweep_property_compares_witnesses(monkeypatch):
     # Not ``import agreeable.agreement as ...``: that name is the function.
     agreement_mod = importlib.import_module("agreeable.agreement")
     real_sweep = agreement_mod._sweep
-    monkeypatch.setattr(agreement_mod, "_sweep", lambda intervals: (real_sweep(intervals)[0], ()))
+    monkeypatch.setattr(agreement_mod, "_sweep", lambda *args: (real_sweep(*args)[0], ()))
     report = run_suites("linear", 10, seed=1)
     sweep = next(r for r in report.results if r.name == "sweep-matches-endpoint-oracle")
     assert sweep.checked == 10
