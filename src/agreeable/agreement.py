@@ -4,23 +4,23 @@ The agreement number of a platform is the number of voters approving it;
 the agreement number of a society is the maximum over all platforms of the
 spectrum.  Everything here is exact rational arithmetic.
 
-Costs: the line sweep is O(n log n) comparisons of plain ints.  It reads
-the society's integer span view (``Society._spans``), where each endpoint
-p/q is the integer key (p << s) // q, with s = 2b + 1 for the largest
-denominator bit length b: distinct endpoints differ by more than 2**-2b, so
-the keys order them exactly and no Fraction is hashed or compared while
-counting, sorting and merging.  The candidate tally reads the same view,
-each voter's first and last approved candidate index (bisected once per
-society, or handed over by ``restrict_to_candidates``), into a difference
-array, O(n log c + c) for c candidates.  Box depth reads the voter count
-of each point of the grid of per-axis lower endpoints from the society's
-cached platform masks: O(n log P + P) big-int operations per axis of P
-coordinates and O(P^d * d) ANDs for the grid, capped at 30 voters and 3
-dimensions.
+Costs: the line sweep is O(n log n) comparisons of plain ints, on two
+sorted key lists and no table of endpoints.  It reads the society's integer
+span view (``Society._spans``), where each endpoint p/q is the integer key
+(p << s) // q, with s = 2b + 1 for the largest denominator bit length b:
+distinct endpoints differ by more than 2**-2b, so the keys order them
+exactly and no Fraction is hashed or compared while sorting and
+bisecting.  The candidate tally reads the same view, each voter's first and
+last approved candidate index (bisected once per society, or handed over by
+``restrict_to_candidates``), into a difference array, O(n log c + c) for c
+candidates.  Box depth reads the voter count of each point of the grid of
+per-axis lower endpoints from the society's cached platform masks:
+O(n log P + P) big-int operations per axis of P coordinates and O(P^d * d)
+ANDs for the grid, capped at 30 voters and 3 dimensions.
 
 Closed-interval semantics enter the computation in two places: the line
-sweep processes interval starts before interval ends at equal coordinates,
-so touching intervals count as overlapping, and ``society._candidate_range``
+sweep counts, at a left end, only the right ends strictly below it, so
+touching intervals count as overlapping, and ``society._candidate_range``
 bisects left on a side's lower end and right on its upper end, for the
 candidate tally and the platform masks alike.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from bisect import bisect_left
 from fractions import Fraction
 
 from ._frozen import Frozen, set_field
@@ -98,48 +98,25 @@ def _sweep(intervals: list[Interval], lo_keys, hi_keys) -> tuple[int, tuple[Inte
     ``lo_keys[i]`` and ``hi_keys[i]`` are the exact integer order keys of
     ``intervals[i]``'s ends (``Society._spans``).  Returns the maximum
     overlap count and the set of maximal closed intervals on which it is
-    attained.  At each event coordinate x the depth *at* x is the count
-    after processing starts and before ends (starts-before-ends is what
-    makes touching intervals overlap); the depth on the open gap to the
-    next coordinate is the count after ends.  Any interval covering an open
-    gap contains both its endpoints, so gaps at maximal depth always bridge
-    two optimal event points.
+    attained.  The depth at a left end x is the number of left keys <= x
+    less the number of right keys < x (so touching intervals overlap): on
+    the sorted left keys, its 1-based rank less one ``bisect_left`` into the
+    sorted right keys; the last of equal left keys counts them all.  Depth
+    rises only at a left end, so a run of maximum depth opens at one and
+    closes at the first right key at or after it, where the depth falls.
 
-    Counting, sorting and merging run on the keys, plain ints; only the
-    witnesses' endpoints are mapped back to their coordinates.
+    Sorting and counting run on the keys, plain ints; only the witnesses'
+    endpoints are mapped back to their coordinates.
     """
     if not intervals:
         return 0, ()
 
-    starts = Counter(lo_keys)
-    ends = Counter(hi_keys)
-    coords = sorted(starts.keys() | ends.keys())
+    los, his = sorted(lo_keys), sorted(hi_keys)
+    below = [bisect_left(his, x) for x in los]
+    best = max(rank - j for rank, j in enumerate(below, 1))
+    runs = [(x, his[j]) for rank, (x, j) in enumerate(zip(los, below), 1) if rank - j == best]
 
-    best = count = 0
-    for x in coords:
-        count += starts.get(x, 0)
-        if count > best:
-            best = count
-        count -= ends.get(x, 0)
-
-    # A maximal optimal interval opens at an event point of depth ``best``
-    # and closes at the first event point after which the depth drops.  The
-    # depth rises only at a left end and falls only at a right end, so a run
-    # opens at some interval's left end and closes at some right end.
-    runs: list[tuple[int, int]] = []
-    opened = None
-    count = 0
-    for x in coords:
-        count += starts.get(x, 0)
-        if opened is None and count == best:
-            opened = x
-        count -= ends.get(x, 0)
-        if opened is not None and count < best:
-            runs.append((opened, x))
-            opened = None
-
-    opens = {lo for lo, _ in runs}
-    closes = {hi for _, hi in runs}
+    opens, closes = (set(ends) for ends in zip(*runs))
     lo_of = {key: iv.lo for iv, key in zip(intervals, lo_keys) if key in opens}
     hi_of = {key: iv.hi for iv, key in zip(intervals, hi_keys) if key in closes}
     return best, tuple(Interval(lo_of[lo], hi_of[hi]) for lo, hi in runs)

@@ -17,7 +17,8 @@ banned from interval logic.
 
 Approval sets may be empty; the empty set is represented by ``None`` and
 intersects nothing, including itself.  All values are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads.  The JSON loader builds line
+voters as it decodes them: a load peaks at about one society plus its text.
 """
 
 from __future__ import annotations
@@ -542,7 +543,9 @@ def restrict_to_candidates(society: Society, candidates) -> Society:
     candidates, so candidate membership is unchanged).  Voters approving no
     candidate are kept, with empty approval.  O(c log c + n log c).  Each
     voter is bisected into the slate once: the election receives those
-    spans as its :attr:`Society._spans`.
+    spans as its :attr:`Society._spans`, and voters with equal spans share
+    one hull.  Raises :func:`require_valid`'s ValueError for a voter that
+    approves a box or an interval with lo > hi.
     """
     if not isinstance(society.spectrum, LineSpectrum):
         raise ValueError("restriction applies to line societies only")
@@ -550,13 +553,12 @@ def restrict_to_candidates(society: Society, candidates) -> Society:
     if not cs:
         raise ValueError("candidate slate is empty")
 
-    for v in society.voters:
-        if v.approval is not None and not isinstance(v.approval, Interval):
-            raise ValueError(f"voter {v.id}: line society carries a non-interval approval")
-    los, his = spans = _slate_spans([v.approval for v in society.voters], cs)
-    voters = tuple(
-        Voter(v.id, None if lo is None else Interval(cs[lo], cs[hi])) for v, lo, hi in zip(society.voters, los, his)
-    )
+    for v in society.voters:  # an approval no slate can restrict; duplicate ids are left to the election
+        if v.approval is not None and not (isinstance(v.approval, Interval) and v.approval.lo <= v.approval.hi):
+            require_valid(society)
+    spans = _slate_spans([v.approval for v in society.voters], cs)
+    hulls = {(lo, hi): Interval(cs[lo], cs[hi]) for lo, hi in set(zip(*spans)) if lo is not None}
+    voters = tuple(Voter(v.id, hulls.get(span)) for v, span in zip(society.voters, zip(*spans)))
     election = Society(CandidateSpectrum(cs), voters)
     election.__dict__["_spans"] = spans
     return election
@@ -656,14 +658,16 @@ def _interval_from_json(value, interned: dict, voter: int, axis: int | None = No
     return Interval(_coord_from_json(value[0], interned), _coord_from_json(value[1], interned))
 
 
-def society_from_obj(obj) -> Society:
-    """Build a Society from parsed JSON data (see module-level format)."""
+def society_from_obj(obj, interned: dict | None = None) -> Society:
+    """Build a Society from parsed JSON data (see module-level format); a
+    ``voters`` entry may be a ready :class:`Voter`, ``interned`` the token
+    table of :func:`_coord_from_json`."""
     if not isinstance(obj, dict):
         raise SocietyFormatError("top level must be an object")
     if "spectrum" not in obj or "voters" not in obj:
         raise SocietyFormatError("missing 'spectrum' or 'voters'")
 
-    interned: dict = {}
+    interned = {} if interned is None else interned
     raw_spec = obj["spectrum"]
     spectrum: Spectrum
     if raw_spec == "line":
@@ -682,31 +686,31 @@ def society_from_obj(obj) -> Society:
 
     if not isinstance(obj["voters"], list):
         raise SocietyFormatError("'voters' must be a list")
-    voters = []
-    for i, raw in enumerate(obj["voters"]):
-        if not isinstance(raw, dict) or "id" not in raw:
-            raise SocietyFormatError(f"voters[{i}]: each voter needs an 'id'")
-        vid = raw["id"]
-        if not isinstance(vid, str):
-            raise SocietyFormatError(f"voters[{i}]: id must be a string")
-        if "interval" in raw:
-            approval: Approval = _interval_from_json(raw["interval"], interned, i)
-        elif "box" in raw:
-            rawbox = raw["box"]
-            if rawbox is None:
-                approval = None
-            elif isinstance(rawbox, list):
-                sides = tuple(_interval_from_json(s, interned, i, a) for a, s in enumerate(rawbox))
-                if any(s is None for s in sides):
-                    raise SocietyFormatError(f"voters[{i}]: box sides may not be null")
-                approval = Box(sides)  # type: ignore[arg-type]
-            else:
-                raise SocietyFormatError(f"voters[{i}]: box must be a list of sides or null")
-        else:
-            raise SocietyFormatError(f"voters[{i}]: voter needs 'interval' or 'box'")
-        voters.append(Voter(vid, approval))
+    return Society(spectrum, tuple(
+        raw if isinstance(raw, Voter) else _voter_from_json(raw, interned, i) for i, raw in enumerate(obj["voters"])
+    ))
 
-    return Society(spectrum, tuple(voters))
+
+def _voter_from_json(raw, interned: dict, i: int) -> Voter:
+    """The voter that ``voters[i]`` of a document stands for."""
+    if not isinstance(raw, dict) or "id" not in raw:
+        raise SocietyFormatError(f"voters[{i}]: each voter needs an 'id'")
+    vid = raw["id"]
+    if not isinstance(vid, str):
+        raise SocietyFormatError(f"voters[{i}]: id must be a string")
+    if "interval" in raw:
+        return Voter(vid, _interval_from_json(raw["interval"], interned, i))
+    if "box" not in raw:
+        raise SocietyFormatError(f"voters[{i}]: voter needs 'interval' or 'box'")
+    rawbox = raw["box"]
+    if rawbox is None:
+        return Voter(vid, None)
+    if not isinstance(rawbox, list):
+        raise SocietyFormatError(f"voters[{i}]: box must be a list of sides or null")
+    sides = tuple(_interval_from_json(s, interned, i, a) for a, s in enumerate(rawbox))
+    if any(s is None for s in sides):
+        raise SocietyFormatError(f"voters[{i}]: box sides may not be null")
+    return Voter(vid, Box(sides))  # type: ignore[arg-type]
 
 
 def society_to_obj(society: Society) -> dict:
@@ -735,7 +739,7 @@ def society_to_obj(society: Society) -> dict:
     return {"spectrum": raw_spec, "voters": voters}
 
 
-def _parse_exact(text: str):
+def _parse_exact(text: str, object_hook=None):
     # JSON numbers with a fraction or exponent become exact rationals, never
     # binary floats; each distinct literal is converted once.
     decimals: dict[str, Coord] = {}
@@ -746,15 +750,34 @@ def _parse_exact(text: str):
             coord = decimals[literal] = _exact_decimal(literal)
         return coord
 
-    return json.loads(text, parse_float=exact)
+    return json.loads(text, parse_float=exact, object_hook=object_hook)
 
 
 def loads_society(text: str) -> Society:
+    """Parse a society document.  Each well-formed line voter, an object
+    with exactly the keys ``id`` and ``interval``, becomes a :class:`Voter`
+    as the decoder reads it, so no decoded tree stands next to the finished
+    society: peak memory is about one society plus the text."""
+    interned: dict = {}
+
+    def line_voter(raw: dict):
+        if len(raw) == 2 and "id" in raw and "interval" in raw:
+            try:
+                return _voter_from_json(raw, interned, 0)
+            except SocietyFormatError:
+                pass  # left a dict: society_from_obj names it with its index
+        return raw
+
     try:
-        obj = _parse_exact(text)
+        obj = _parse_exact(text, line_voter)
     except json.JSONDecodeError as exc:
         raise SocietyFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return society_from_obj(obj)
+    try:
+        return society_from_obj(obj, interned)
+    except SocietyFormatError:
+        # The error may name a Voter built outside 'voters'; decoded without
+        # the hook, the document raises it naming the object as written.
+        return society_from_obj(_parse_exact(text))
 
 
 def dumps_society(society: Society) -> str:

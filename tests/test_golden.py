@@ -3,7 +3,8 @@
 The digests pin ``generate`` output, ``verify --format json`` reports,
 ``analyze --format json`` and ``check --format json`` reports (with their
 bound sheets and lexicographically-first agreeability witnesses, on line,
-candidate and box societies), ``bounds --format json`` and the library tour
+candidate and box societies, and on a 20 000-voter line document mixing
+int, ``p/q`` and decimal tokens), ``bounds --format json`` and the library tour
 on a slate (restriction, tally, agreement graph, first-fit coloring).  Any
 faster path must reproduce these bytes exactly; a changed digest means a
 changed answer, not a test to update.
@@ -112,6 +113,36 @@ def _rational_candidate_document() -> str:
     return dumps_society(restrict_to_candidates(linear_society(intervals), slate))
 
 
+def _mixed_line_document(n: int = 20000) -> str:
+    """A line society whose ends mix int tokens, "p/q" strings and decimal
+    literals (some with an exponent), one voter in twenty approving nothing;
+    written as text, so that it depends neither on the generators nor on the
+    dumper."""
+    rng = random.Random(2027)
+    grids = (Fraction(1), Fraction(1, 3), Fraction(1, 100))
+
+    def token(x: Fraction) -> str:
+        if x.denominator == 1:
+            return str(x.numerator)
+        if x.denominator == 3:
+            return f'"{x.numerator}/3"'
+        cents = x.numerator * (100 // x.denominator)
+        return f"{cents}e-2" if rng.random() < 0.25 else f"{cents // 100}.{cents % 100:02d}"
+
+    voters = []
+    for i in range(n):
+        if rng.random() < 0.05:
+            interval = "null"
+        else:
+            grid = rng.choice(grids)
+            lo = rng.randint(0, 4000 * grid.denominator) * grid
+            hi_grid = rng.choice(grids)
+            hi = (-(-lo // hi_grid) + rng.randint(0, 25 * hi_grid.denominator)) * hi_grid
+            interval = f"[{token(lo)}, {token(hi)}]"
+        voters.append(f'{{"id": "v{i + 1}", "interval": {interval}}}')
+    return '{"spectrum": "line", "voters": [' + ", ".join(voters) + "]}\n"
+
+
 def _tour(n: int, c: int, seed: int) -> dict[str, bytes]:
     gap = 1000 // c
     config = RandomConfig(coord_min=0, coord_max=1000, min_length=gap, max_length=3 * gap, empty_percent=5)
@@ -140,6 +171,7 @@ GOLDEN = {
     "analyze-candidates-km-agreeable": "c0a7753af2fbd967d91526a9f14f9fffaee39c786bd5c3e29d417be74bca94be",
     "analyze-candidates-km-witness": "d42a6106fd68d077e5a32217716248242ef2eead44895a0daebfd6f786358be7",
     "analyze-line-km": "100243e4f2888713869d5235c4fe86004262a53920625ace045621771af585db",
+    "analyze-mixed-line": "bc0ea92554bb9dd1b4e8af483cf8d95500b914b57d658ced8536e25a19fc46e5",
     "analyze-rational-candidates": "8c06beb7411707a8d4159c39c395c0fe95645aefcc9dd02491c807d3c2242eff",
     "analyze-rational-candidates-km": "3a6fcbe9542af0adc8b67669e829cd19b6582106e53cfa0ff548b46bba278e06",
     "check-box2-agreeable": "448469d4adee071d35fb2fa1e5720376dc1b21b1e9b0f8cc313a283d9aa41bb7",
@@ -204,6 +236,13 @@ def test_analyze_rational_candidates_digest(flags, capsys, tmp_path):
     out = _run(["analyze", str(path), "--format", "json", *flags], capsys)
     name = "analyze-rational-candidates" + ("-km" if flags else "")
     assert _digest(out) == GOLDEN[name]
+
+
+def test_analyze_mixed_line_digest(capsys, tmp_path):
+    path = tmp_path / "society.json"
+    path.write_text(_mixed_line_document(), encoding="utf-8")
+    out = _run(["analyze", str(path), "--format", "json"], capsys)
+    assert _digest(out) == GOLDEN["analyze-mixed-line"]
 
 
 @pytest.mark.parametrize("n,c,seed", TOURS, ids=[f"n{n}" for n, _, _ in TOURS])

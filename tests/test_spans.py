@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from agreeable import (
+    Box,
     CandidateSpectrum,
     Interval,
     LINE,
@@ -188,12 +189,25 @@ def test_lo_above_hi_raises_on_a_slate(read):
     assert str(caught.value) == "invalid society: voter a: lo > hi"
 
 
-def test_restriction_empties_a_line_voter_with_lo_above_hi():
-    # The restriction does not validate the line society: the voter contains
-    # no candidate, so it becomes a voter approving nothing.
+def test_restriction_refuses_a_line_voter_with_lo_above_hi():
+    # Such a voter contains no candidate; the restriction refuses it rather
+    # than hand the election a voter approving nothing.
     society = Society(LINE, (Voter("a", Interval(3, 1)), Voter("b", Interval(0, 2))))
-    election = restrict_to_candidates(society, [0, 1, 2, 3])
-    assert election.voters[0].approval is None
-    assert election._spans == ((None, 0), (None, 2))
-    assert agreement(election).agreement_number == 1
-    assert agreement_graph(election).edges == frozenset()
+    with pytest.raises(ValueError) as caught:
+        restrict_to_candidates(society, [0, 1, 2, 3])
+    assert str(caught.value) == "invalid society: voter a: lo > hi"
+
+
+def test_restriction_refuses_a_box_approval_on_the_line():
+    society = Society(LINE, (Voter("a", Interval(0, 1)), Voter("b", Box((Interval(0, 2),)))))
+    with pytest.raises(ValueError) as caught:
+        restrict_to_candidates(society, [0, 1, 2])
+    assert str(caught.value) == "invalid society: voter b: expected interval approval"
+
+
+def test_restriction_shares_one_hull_per_span():
+    society = linear_society([(0, 3), (1, 4), (0, 3), (4, 5), (2, 9)])
+    election = restrict_to_candidates(society, [1, 3, 7])
+    a, b, c, d, e = (v.approval for v in election.voters)
+    assert a == Interval(1, 3) and a is b is c
+    assert d is None and e == Interval(3, 7)
