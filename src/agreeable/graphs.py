@@ -6,13 +6,12 @@ interval graph, whose clique number equals the society's agreement number;
 the first-fit coloring below realizes that equality constructively.
 
 Both read the society's integer span view, ``Society._spans`` (per voter,
-the indices of the first and last approved candidate on a slate, the exact
-order keys of the interval's ends on the line and on 1-boxes), and run on
-sorted ints: the graph in O(n log n + E) for E edges, the coloring in
-O(n log n).  The graph's edges are normalized as they are built, so the
-Graph is made without re-checking them.  Boxes with d >= 2 have no span
-view: their graph tests every pair of voters, O(n^2 d), and the coloring
-refuses them.
+the indices of the first and last approved candidate on a slate, else the
+exact order keys of the ends of the interval or of a box's first side), and
+run on sorted ints: the graph in O(n log n + E) for E edges, the coloring in
+O(n log n).  For boxes with d >= 2 the graph filters the R pairs that meet on
+the first axis, O(n log n + R d), and the coloring refuses them.  Edges are
+normalized as they are built, so the Graph is made without re-checking them.
 """
 
 from __future__ import annotations
@@ -139,33 +138,31 @@ class Coloring(Frozen):
 def agreement_graph(society: Society) -> Graph:
     """Graph on the voters with edges between intersecting approval sets."""
     require_valid(society)
-    spectrum = society.spectrum
     ids = society.voter_ids()
-
-    if isinstance(spectrum, BoxSpectrum) and spectrum.dimension >= 2:
-        approvals = [v.approval for v in society.voters]
-        edges = set()
-        for i in range(len(ids)):
-            a = approvals[i]
-            if a is None:
-                continue
-            for j in range(i + 1, len(ids)):
-                b = approvals[j]
-                if b is not None and a.intersect(b) is not None:
-                    edges.add((ids[i], ids[j]))
-        return Graph._trusted(ids, frozenset(edges))
-
     # Sorted by left end, a span meets exactly the spans after it whose left
     # end is at most its right end: a contiguous run.
     los, his = society._spans
     order = sorted([i for i, lo in enumerate(los) if lo is not None], key=los.__getitem__)
     starts = [los[i] for i in order]
+    runs = [order[p + 1 : bisect_right(starts, his[i], p + 1)] for p, i in enumerate(order)]
+    if isinstance(society.spectrum, BoxSpectrum) and society.spectrum.dimension >= 2:
+        rest = [None if v.approval is None else v.approval.sides[1:] for v in society.voters]
+        runs = [
+            [j for j in run if all(a.lo <= b.hi and b.lo <= a.hi for a, b in zip(rest[i], rest[j]))]
+            for i, run in zip(order, runs)
+        ]
     edges = frozenset([
         (ids[i], ids[j]) if i < j else (ids[j], ids[i])
-        for p, i in enumerate(order)
-        for j in order[p + 1 : bisect_right(starts, his[i], p + 1)]
+        for i, run in zip(order, runs)
+        for j in run
     ])
     return Graph._trusted(ids, edges)
+
+
+def _require_interval_view(society: Society) -> None:
+    """Refuse boxes with d >= 2, whose first-axis spans do not represent them."""
+    if isinstance(society.spectrum, BoxSpectrum) and society.spectrum.dimension >= 2:
+        raise ValueError("no interval representation for boxes with d >= 2")
 
 
 def greedy_interval_coloring(society: Society) -> Coloring:
@@ -184,6 +181,7 @@ def greedy_interval_coloring(society: Society) -> Coloring:
     free colors with a min-heap, so the whole pass is O(n log n).
     """
     require_valid(society)
+    _require_interval_view(society)
     los, his = society._spans
     ids = society.voter_ids()
     assignment = dict.fromkeys([vid for vid, hi in zip(ids, his) if hi is None], 1)
@@ -226,6 +224,7 @@ def clique_number_linear(society: Society) -> int:
     from .agreement import agreement
 
     require_valid(society)
+    _require_interval_view(society)
     if all(lo is None for lo in society._spans[0]):
         return 0
     number = agreement(society).agreement_number

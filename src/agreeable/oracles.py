@@ -311,10 +311,11 @@ def _scanned_intervals(society: Society) -> list[Interval | None]:
 
 
 def brute_interval_graph(society: Society) -> Graph:
-    """Agreement graph of a line, candidate or 1-box society by testing
-    every pair of voters: O(n^2)."""
+    """Agreement graph by testing every pair of voters, boxes of any
+    dimension by ``Box.intersect``: O(n^2)."""
     ids = society.voter_ids()
-    reps = _scanned_intervals(society)
+    boxed = isinstance(society.spectrum, BoxSpectrum)
+    reps = [v.approval for v in society.voters] if boxed else _scanned_intervals(society)
     edges = set()
     for i, a in enumerate(reps):
         if a is None:

@@ -266,23 +266,21 @@ class Society(Frozen):
         approving nothing.
 
         On a slate, the indices of the first and the last approved candidate
-        (:func:`_candidate_range`); on the line and on 1-boxes, the
-        :func:`_order_keys` of the interval's ends.  Two spans meet iff the
-        approval sets do, so the sweep, the tally, the agreement graph and
-        the coloring compare ints only.  Two tuples rather than a pair per
-        voter, so that the view allocates nothing per voter.
+        (:func:`_candidate_range`); else the :func:`_order_keys` of the ends
+        of the interval, or of a box's first side.  Two spans meet iff those
+        do, so the sweep, the tally, the agreement graph and the coloring
+        compare ints only.  Two tuples rather than a pair per voter, so that
+        the view allocates nothing per voter.
 
         :func:`restrict_to_candidates` hands its election this view, so its
         readers call :func:`require_valid` themselves.  Raises ValueError for
-        a malformed society and for boxes with d >= 2.
+        a malformed society.
         """
         require_valid(self)
         spec = self.spectrum
         if isinstance(spec, CandidateSpectrum):
             return _slate_spans([v.approval for v in self.voters], spec.candidates)
         if isinstance(spec, BoxSpectrum):
-            if spec.dimension != 1:
-                raise ValueError("no interval representation for boxes with d >= 2")
             sides = [None if v.approval is None else v.approval.sides[0] for v in self.voters]
         else:
             sides = [v.approval for v in self.voters]

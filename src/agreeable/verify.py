@@ -4,11 +4,12 @@ Each suite generates a deterministic stream of random instances from a
 base seed (child seeds are ``crc32(label) * 1_000_003 + index`` offsets of
 the base; see README) and re-verifies the package's guarantees on them:
 sweep reports against scoring every endpoint and gap, box depth and
-platform masks against the containment grid, greedy colorings against
-brute-force clique numbers, every lower bound against computed agreement
-numbers, and the purely graph-theoretic statements against exhaustive
-search.  The fixed-construction regressions (tight generators, the 5-cycle
-box society) run in every suite invocation regardless of the trial count.
+platform masks against the containment grid, agreement graphs against
+testing every pair of voters, greedy colorings against brute-force clique
+numbers, the bound sheet's verdicts against computed agreement numbers,
+and the purely graph-theoretic statements against exhaustive search.  The
+fixed-construction regressions (tight generators, the 5-cycle box society)
+run in every suite invocation regardless of the trial count.
 
 A violation report always carries the child seed that reproduces the
 failing instance, and the instance itself can be written to a directory
@@ -25,7 +26,7 @@ from pathlib import Path
 from ._frozen import Frozen
 from .agreeability import AgreeParams, is_km_agreeable, platform_masks
 from .agreement import agreement, common_platform, good_set_count, good_set_lower_bound, two_platform_cover
-from .bounds import clique_bound, division, fractional_helly_bound, proportion_bound, small_m_bound
+from .bounds import bound_sheet, clique_bound, division
 from .generators import (
     RandomConfig,
     clique_plus_isolated,
@@ -203,14 +204,14 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
         for params in _km_pairs(pair_rng, n):
             if n < params.m:
                 continue
-            if not is_km_agreeable(society, params).agreeable:
+            result = is_km_agreeable(society, params)
+            if not result.agreeable:
                 continue
-            cb = clique_bound(n, params)
-            pb = proportion_bound(params)
-            ok = report.agreement_number >= cb and report.proportion >= pb
+            clique, proportion = bound_sheet(society, params, agreeability=result, report=report).entries
+            cb, pb = clique.value, proportion.value
             rec.check(
                 "agreeable-societies-meet-linear-bounds",
-                ok,
+                clique.satisfied and proportion.satisfied,
                 f"{tag} k={params.k} m={params.m} a={report.agreement_number} cb={cb}",
                 art,
             )
@@ -324,11 +325,12 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
         omega = brute_clique(graph)
         same_depth = report == brute_box_depth(society)
         same_masks = platform_masks(society) == brute_platform_masks(society)
+        same_graph = graph == brute_interval_graph(society)
         rec.check(
             "box-depth-equals-brute-clique",
-            report.agreement_number == omega and same_depth and same_masks,
+            report.agreement_number == omega and same_depth and same_masks and same_graph,
             f"{tag} depth={report.agreement_number} omega={omega}"
-            f" grid_oracle={same_depth} masks_oracle={same_masks}",
+            f" grid_oracle={same_depth} masks_oracle={same_masks} pairwise_oracle={same_graph}",
             art,
         )
 
@@ -347,12 +349,13 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
             if (params.k, params.m) in seen or n < params.m or params.m <= d:
                 continue
             seen.add((params.k, params.m))
-            if not is_km_agreeable(society, params).agreeable:
+            result = is_km_agreeable(society, params)
+            if not result.agreeable:
                 continue
-            fh = fractional_helly_bound(d, params)
+            helly, small_m = bound_sheet(society, params, agreeability=result, report=report).entries
             rec.check(
                 "fractional-helly-power-inequality",
-                fh.satisfied_by(report.proportion),
+                helly.satisfied,
                 f"{tag} k={params.k} m={params.m} a={report.agreement_number}",
                 art,
             )
@@ -365,12 +368,11 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
                     f"{tag} k={params.k} m={params.m} g={g} bound={bound}",
                     art,
                 )
-            if params.m <= 2 * params.k - 2:
-                sb = small_m_bound(n, params)
+            if small_m.applicable:
                 rec.check(
                     "small-m-bound-on-boxes",
-                    report.agreement_number >= sb,
-                    f"{tag} k={params.k} m={params.m} a={report.agreement_number} bound={sb}",
+                    small_m.satisfied,
+                    f"{tag} k={params.k} m={params.m} a={report.agreement_number} bound={small_m.value}",
                     art,
                 )
 

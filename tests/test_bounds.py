@@ -16,7 +16,8 @@ from agreeable import (
     proportion_bound,
     small_m_bound,
 )
-from agreeable.bounds import decimal_str, nth_root_enclosure
+from agreeable.bounds import MAX_ENCLOSURE_DEGREE, decimal_str, nth_root_enclosure
+from agreeable.errors import CapExceededError
 
 
 def test_division_examples():
@@ -135,6 +136,15 @@ def test_nth_root_enclosure_brackets(x, degree):
 def test_nth_root_enclosure_of_zero_and_one_is_exact_at_any_degree(x):
     # At degree 10**6 a bisection step would raise t/10**6 to that power.
     assert nth_root_enclosure(x, 10**6, 6) == (x, x)
+
+
+def test_nth_root_enclosure_refuses_degrees_past_the_cap(monkeypatch):
+    with pytest.raises(CapExceededError, match=f"degree {MAX_ENCLOSURE_DEGREE + 1} exceeds the enclosure cap"):
+        nth_root_enclosure(Fraction(1, 2), MAX_ENCLOSURE_DEGREE + 1, 6)
+    monkeypatch.setattr("agreeable.bounds.MAX_ENCLOSURE_DEGREE", 3)
+    assert nth_root_enclosure(Fraction(27, 8), 3, 6) == (Fraction(3, 2), Fraction(3, 2))
+    with pytest.raises(CapExceededError, match="a root of degree 4 exceeds the enclosure cap 3"):
+        nth_root_enclosure(Fraction(16), 4, 6)
 
 
 def test_nth_root_enclosure_below_one_starts_from_the_unit_bracket():

@@ -269,6 +269,17 @@ def test_bounds_refuses_a_bound_past_the_digit_limit(capsys, default_int_digit_l
     assert err == "error: the fractional_helly bound's radicand has more than 4300 digits\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bounds_refuses_a_long_radicand_before_its_enclosure(capsys, default_int_digit_limit, fmt):
+    # Degree 50 000 is within the enclosure cap, but the radicand has over
+    # 80 000 digits: enclosing its root first would take seconds.
+    argv = ["bounds", "--k", "50000", "--m", "1000000", "--d", "49999", "--format", fmt]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (2, "", "error: the fractional_helly bound's radicand has more than 4300 digits\n")
+
+
 BOUNDS_WITH_NO_GOOD_SETS = {
     "text": (
         "k: 3\nm: 100000000\nq: 49999999\nrho: 1\nproportion_bound: 2/99999999\n"
@@ -290,6 +301,17 @@ def test_bounds_with_no_good_sets_answers_at_once(capsys, fmt):
     assert (code, out, err) == (0, BOUNDS_WITH_NO_GOOD_SETS[fmt], "")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bounds_refuses_an_enclosure_past_the_degree_cap(capsys, fmt):
+    # The radicand 80001000002/80001000003 is neither 0 nor 1: its root of
+    # degree 400001 would take over half a minute to enclose.
+    argv = ["bounds", "--k", "400001", "--m", "400003", "--d", "400000", "--format", fmt]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (2, "", "error: a root of degree 400001 exceeds the enclosure cap 50000\n")
+
+
 def test_verify_command_passes(capsys):
     code, out, _ = run_cli(["verify", "--suite", "graph", "--trials", "10", "--seed", "1"], capsys=capsys)
     assert code == 0
@@ -297,9 +319,10 @@ def test_verify_command_passes(capsys):
 
 
 def test_verify_detects_corruption(monkeypatch, capsys, tmp_path):
-    import agreeable.verify as verify_mod
+    # verify reads the bound verdicts from the bound sheet.
+    import agreeable.bounds as bounds_mod
 
-    monkeypatch.setattr(verify_mod, "proportion_bound", lambda p: 2)
+    monkeypatch.setattr(bounds_mod, "proportion_bound", lambda p: 2)
     argv = ["verify", "--suite", "linear", "--trials", "20", "--seed", "1", "--failure-dir", str(tmp_path)]
     code, out, _ = run_cli(argv, capsys=capsys)
     assert code == 1
@@ -309,10 +332,10 @@ def test_verify_detects_corruption(monkeypatch, capsys, tmp_path):
 
 
 def test_verify_writes_nothing_without_failure_dir(monkeypatch, capsys, tmp_path):
-    import agreeable.verify as verify_mod
+    import agreeable.bounds as bounds_mod
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(verify_mod, "proportion_bound", lambda p: 2)
+    monkeypatch.setattr(bounds_mod, "proportion_bound", lambda p: 2)
     code, out, _ = run_cli(["verify", "--suite", "linear", "--trials", "20", "--seed", "1"], capsys=capsys)
     assert code == 1
     assert "violation:" in out

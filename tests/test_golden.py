@@ -5,9 +5,10 @@ The digests pin ``generate`` output, ``verify --format json`` reports,
 bound sheets and lexicographically-first agreeability witnesses, on line,
 candidate and box societies, and on a 20 000-voter line document mixing
 int, ``p/q`` and decimal tokens), ``bounds --format json`` and the library tour
-on a slate (restriction, tally, agreement graph, first-fit coloring).  Any
-faster path must reproduce these bytes exactly; a changed digest means a
-changed answer, not a test to update.
+on a slate (restriction, tally, agreement graph, first-fit coloring), and
+the agreement graphs of 2-box and 3-box societies, one of them on p/q
+sides.  Any faster path must reproduce these bytes exactly; a changed
+digest means a changed answer, not a test to update.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from agreeable import (
     RandomConfig,
     agreement,
     agreement_graph,
+    box_society,
     dumps_society,
     greedy_interval_coloring,
     linear_society,
@@ -81,6 +83,11 @@ BOX_KM = {
 }
 
 BOUNDS = {"bounds": ["bounds", "--k", "4", "--m", "15", "--n", "21", "--d", "2", "--format", "json"]}
+
+# (dimension, voters, seed) of generated box societies whose agreement graphs
+# are pinned: sides of length 0 to 5 on 0..17, so sides touch and degenerate
+# to points, and one voter in ten approves nothing.
+BOX_GRAPHS = {"box-graph-2": (2, 150, 7), "box-graph-3": (3, 120, 8)}
 
 # (voters, candidates on the slate, seed) for the library tour.
 TOURS = ((100, 10, 1), (280, 28, 2), (500, 50, 3))
@@ -143,6 +150,25 @@ def _mixed_line_document(n: int = 20000) -> str:
     return '{"spectrum": "line", "voters": [' + ", ".join(voters) + "]}\n"
 
 
+def _rational_box_graph() -> bytes:
+    """The agreement graph of a 2-box society on a pool of p/q sides, with
+    empty voters; written by hand so that it does not depend on the
+    generators."""
+    rng = random.Random(2031)
+    pool = sorted({Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3))) for _ in range(10)})
+    boxes = []
+    for _ in range(100):
+        if rng.random() < 0.1:
+            boxes.append(None)
+            continue
+        sides = []
+        for _ in range(2):
+            a, b = rng.choice(pool), rng.choice(pool)
+            sides.append((min(a, b), max(a, b)))
+        boxes.append(sides)
+    return agreement_graph(box_society(boxes)).to_json().encode()
+
+
 def _tour(n: int, c: int, seed: int) -> dict[str, bytes]:
     gap = 1000 // c
     config = RandomConfig(coord_min=0, coord_max=1000, min_length=gap, max_length=3 * gap, empty_percent=5)
@@ -183,6 +209,9 @@ GOLDEN = {
     "analyze-box3-agreeable": "bc49ad2f766f0ffa282f190ed1409f457ce573ff775b709612d9490cea710038",
     "analyze-box3-witness": "928783a5e73618d058283d7989a23e05bbcd0fae6945c0b9b8219f8186d148f6",
     "bounds": "3fe994008e44ce634c0a5bb524165b2983b3c4107aa0a2c50566b42e6aa9a084",
+    "box-graph-2": "fb29df8fb97a0e13aa5313f92a5c5347c61db9b20f7ecca590a059321dc5b76e",
+    "box-graph-3": "bfda762c9cb2e01781e92638b801766adae8728b36bf748b22e7eb102c9c4fc2",
+    "box-graph-rational": "0becc66422bb8015f57f07ef121618655fb27619f343ab7a45fcbfd77dc635ee",
     "tour-100-restrict": "f9c03752fd516fd6d94f7702f4843c660e15567b9966ec29bd9aadcd859af560",
     "tour-100-tally": "acd1ea25ff47d52d9a863b6c678e3b36a6bf9abab472a8ee27da6f123353dad7",
     "tour-100-graph": "724dbd4d1c8b30789a0e666918604e5df6ca3c892c57dffa7ec448173bac4ada",
@@ -243,6 +272,18 @@ def test_analyze_mixed_line_digest(capsys, tmp_path):
     path.write_text(_mixed_line_document(), encoding="utf-8")
     out = _run(["analyze", str(path), "--format", "json"], capsys)
     assert _digest(out) == GOLDEN["analyze-mixed-line"]
+
+
+@pytest.mark.parametrize("name", sorted(BOX_GRAPHS))
+def test_box_graph_digest(name):
+    d, n, seed = BOX_GRAPHS[name]
+    config = RandomConfig(coord_min=0, coord_max=17, min_length=0, max_length=5, empty_percent=10, dimension=d)
+    graph = agreement_graph(random_society("box", n, seed, config))
+    assert _digest(graph.to_json().encode()) == GOLDEN[name]
+
+
+def test_rational_box_graph_digest():
+    assert _digest(_rational_box_graph()) == GOLDEN["box-graph-rational"]
 
 
 @pytest.mark.parametrize("n,c,seed", TOURS, ids=[f"n{n}" for n, _, _ in TOURS])

@@ -1,10 +1,14 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from agreeable import (
     AgreeParams,
+    BoxSpectrum,
+    Society,
+    Voter,
     agreement,
     agreement_graph,
     box_society,
@@ -23,7 +27,7 @@ from agreeable.generators import RandomConfig
 from agreeable.graphs import Graph, graph_from_edges
 from agreeable.oracles import brute_clique, brute_first_fit_coloring, brute_interval_graph
 
-from strategies import line_societies, one_d_societies
+from strategies import box_societies, line_societies, one_d_societies
 
 
 def test_seven_voter_graph(seven_voter_society):
@@ -142,12 +146,25 @@ def test_interval_view_by_spectrum():
 
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_wide_boxes_have_no_interval_view(dimension):
-    society = box_society([[(0, 1)] * dimension, None, [(1, 2)] * dimension])
+    # The spans are the first axis's order keys, x << 3 for whole numbers;
+    # the other axes keep v1 and v3 apart, so they are no interval view.
+    society = box_society([[(0, 1)] + [(5, 6)] * (dimension - 1), None, [(1, 2)] + [(7, 8)] * (dimension - 1)])
+    assert society._spans == ((0, None, 8), (8, None, 16))
+    assert agreement_graph(society).edges == frozenset()
     message = "no interval representation for boxes with d >= 2"
-    for compute in (lambda s: s._spans, greedy_interval_coloring, clique_number_linear):
-        with pytest.raises(ValueError, match=message):
-            compute(society)
-    assert agreement_graph(society).edges == {("v1", "v3")}
+    no_voter_approves = Society(BoxSpectrum(dimension), (Voter("v1", None),))
+    for compute in (greedy_interval_coloring, clique_number_linear):
+        for wide in (society, no_voter_approves):
+            with pytest.raises(ValueError, match=message):
+                compute(wide)
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+@given(data=st.data())
+@settings(max_examples=150)
+def test_box_graph_matches_pairwise_oracle(dimension, data):
+    society = data.draw(box_societies(dimension=dimension, max_n=12))
+    assert agreement_graph(society) == brute_interval_graph(society)
 
 
 @given(line_societies(max_n=9))

@@ -5,6 +5,7 @@ import pytest
 
 import agreeable.verify as verify_mod
 from agreeable import AgreementReport
+from agreeable.graphs import Graph
 from agreeable.verify import child_seed, run_suites
 
 
@@ -31,8 +32,8 @@ def test_single_suite_selection():
 
 
 def test_harness_detects_mutations(monkeypatch, tmp_path):
-    # corrupt one bound: every violation must be caught and recorded
-    monkeypatch.setattr(verify_mod, "clique_bound", lambda n, p: n + 1)
+    # corrupt one bound of the bound sheet: every violation must be caught and recorded
+    monkeypatch.setattr(importlib.import_module("agreeable.bounds"), "clique_bound", lambda n, p: n + 1)
     report = run_suites("linear", 25, seed=2, failure_dir=str(tmp_path))
     assert not report.ok
     broken = [r for r in report.results if not r.ok]
@@ -60,6 +61,15 @@ def test_box_property_compares_the_grid_oracles(monkeypatch, oracle, wrong):
     depth = next(r for r in report.results if r.name == "box-depth-equals-brute-clique")
     assert depth.checked == 6
     assert len(depth.violations) == 6
+
+
+def test_box_property_compares_the_pairwise_graph(monkeypatch):
+    monkeypatch.setattr(verify_mod, "brute_interval_graph", lambda s: Graph((), frozenset()))
+    report = run_suites("box", 6, seed=1)
+    depth = next(r for r in report.results if r.name == "box-depth-equals-brute-clique")
+    assert depth.checked == 6
+    assert len(depth.violations) == 6
+    assert all("pairwise_oracle=False" in v for v in depth.violations)
 
 
 def test_child_seed_is_stable():
