@@ -4,17 +4,12 @@ A society with at least m voters is (k,m)-agreeable when every subset of m
 voters contains k voters whose approval sets share a platform.  The check
 reduces to: does some m-subset S have sub-society agreement number below k?
 
-Sub-society agreement numbers are evaluated on a finite platform set that
-is exhaustive for every voter subset at once: left endpoints for a line
-society, the candidates themselves, and the grid of per-axis lower
-endpoints for a box society (a maximum-depth point shifts onto that grid).
-Each platform contributes the bitmask of voters approving it.  The masks
-are built once per society: per axis, two bisections per voter and a
-prefix XOR over a difference array, O(n log P + P) big-int operations for
-P coordinates, then O(P^d * d) ANDs for a d-box grid.  A subset S is
-*deficient* iff every platform mask meets S in at most k-1 voters.
-Deficient sets are closed under taking subsets, so a depth-first search in
-voter order that only ever extends deficient sets finds the
+Sub-society agreement numbers are read off the society's platform masks:
+the maximal voter sets that share a platform, which (Helly number 2) are
+the maximal cliques of the agreement graph, built once per society.  A
+subset S is *deficient* iff every platform mask meets S in at most k-1
+voters.  Deficient sets are closed under taking subsets, so a depth-first
+search in voter order that only ever extends deficient sets finds the
 lexicographically first deficient m-subset, or proves none exists.
 
 A search node is one int, the bitmask of the chosen voters S, with the
@@ -91,15 +86,15 @@ class AgreeabilityResult(Frozen):
 
 
 def platform_masks(society: Society) -> list[int]:
-    """Voter bitmasks of every platform that can attain a maximum depth.
+    """Voter bitmasks of the maximal voter sets that share a platform.
 
-    Deduplicated, ordered by decreasing voter count (ties by value); masks
-    contained in another mask are dropped (they can never decide a depth
-    comparison).  Built once per society and cached; each call returns a
+    These are the maximal cliques of the agreement graph, ordered by
+    decreasing voter count (ties by value); every platform's voter set lies
+    in one of them.  Built once per society and cached; each call returns a
     fresh list.  Raises ValueError for a malformed society and
     CapExceededError past the box caps.
     """
-    return list(society._platform_table.maximal)
+    return list(society._cliques)
 
 
 def is_km_agreeable(

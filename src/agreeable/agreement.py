@@ -13,10 +13,8 @@ exactly and no Fraction is hashed or compared while sorting and
 bisecting.  The candidate tally reads the same view, each voter's first and
 last approved candidate index (bisected once per society, or handed over by
 ``restrict_to_candidates``), into a difference array, O(n log c + c) for c
-candidates.  Box depth reads the voter count of each point of the grid of
-per-axis lower endpoints from the society's cached platform masks:
-O(n log P + P) big-int operations per axis of P coordinates and O(P^d * d)
-ANDs for the grid, capped at 30 voters and 3 dimensions.
+candidates.  Box depth is the size of the largest of the society's cached
+maximal cliques, capped at 30 voters and 3 dimensions.
 
 Closed-interval semantics enter the computation in two places: the line
 sweep counts, at a left end, only the right ends strictly below it, so
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from ._frozen import Frozen, set_field
@@ -123,21 +121,27 @@ def _sweep(intervals: list[Interval], lo_keys, hi_keys) -> tuple[int, tuple[Inte
 
 
 def _box_agreement(society: Society) -> AgreementReport:
-    """Box depth: the voter count of every grid point's platform mask.
+    """Box depth: the size of the first of ``Society._cliques``.
 
-    The grid of per-axis lower endpoints is exhaustive (see
-    ``society._build_platform_table``); witnesses are the optimal grid
-    points in ``itertools.product`` order.
+    The witnesses are the points of the grid of per-axis lower endpoints
+    inside a maximum clique's intersection box.  Each is approved by that
+    clique alone, so their sorted union is the grid's optimal points in
+    ``itertools.product`` order.
     """
     if not isinstance(society.spectrum, BoxSpectrum):
         raise ValueError("box depth applies to box societies")
-    table = society._platform_table
-    depths = [mask.bit_count() for mask in table.masks]
-    best = max(depths, default=0)
-    if best == 0:
-        return AgreementReport(0, society.n, ())
-    points = itertools.product(*table.axes)
-    return AgreementReport(best, society.n, tuple(p for p, depth in zip(points, depths) if depth == best))
+    cliques = society._cliques
+    best = cliques[0].bit_count() if cliques else 0
+    boxes = [v.approval for v in society.voters]
+    axes = [sorted({b.sides[a].lo for b in boxes if b is not None}) for a in range(society.spectrum.dimension)]
+    points: list[tuple] = []
+    for clique in itertools.takewhile(lambda m: m.bit_count() == best, cliques):
+        sides = zip(*[b.sides for i, b in enumerate(boxes) if clique >> i & 1])
+        points += itertools.product(*[
+            axis[bisect_left(axis, max(s.lo for s in side)) : bisect_right(axis, min(s.hi for s in side))]
+            for axis, side in zip(axes, sides)
+        ])
+    return AgreementReport(best, society.n, tuple(sorted(points)))
 
 
 def agreement(society: Society) -> AgreementReport:

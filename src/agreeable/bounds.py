@@ -17,6 +17,7 @@ digits appear only in display output, as certified enclosures.
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -157,8 +158,14 @@ def fractional_helly_bound(d: int, params: AgreeParams) -> FractionalHellyBound:
         raise ValueError("dimension must be >= 1")
     if m <= d:
         raise ValueError(f"need m > d, got m={m}, d={d}")
-    # C(m, d+1) has about (d+1) log10(m) digits: not built when alpha is 0.
+    # C(m, d+1) has about (d+1) log10(m) digits.  It is not built when alpha
+    # is 0, nor when the radicand's denominator, at least C(m, d+1)/C(k, d+1)
+    # >= (m/k)^(d+1) > 2^((d+1)(bit_length(m) - 1 - bit_length(k))), would
+    # pass 3.322 * limit bits, hence limit digits, too many to print.
     good = math.comb(k, d + 1)
+    limit = sys.get_int_max_str_digits()
+    if good and limit and (d + 1) * (m.bit_length() - 1 - k.bit_length()) * 1000 >= limit * 3322:
+        raise CapExceededError(f"the fractional_helly bound's radicand has more than {limit} digits")
     alpha = Fraction(good, math.comb(m, d + 1)) if good else Fraction(0)
     return FractionalHellyBound(1 - alpha, d + 1)
 

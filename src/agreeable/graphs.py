@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import heapq
 import json
-from bisect import bisect_right
 from functools import cached_property
 
 from ._frozen import Frozen, set_field
-from .society import BoxSpectrum, Society, require_valid
+from .society import BoxSpectrum, Society, _meeting_runs, require_valid
 
 
 class Graph(Frozen):
@@ -139,21 +138,9 @@ def agreement_graph(society: Society) -> Graph:
     """Graph on the voters with edges between intersecting approval sets."""
     require_valid(society)
     ids = society.voter_ids()
-    # Sorted by left end, a span meets exactly the spans after it whose left
-    # end is at most its right end: a contiguous run.
-    los, his = society._spans
-    order = sorted([i for i, lo in enumerate(los) if lo is not None], key=los.__getitem__)
-    starts = [los[i] for i in order]
-    runs = [order[p + 1 : bisect_right(starts, his[i], p + 1)] for p, i in enumerate(order)]
-    if isinstance(society.spectrum, BoxSpectrum) and society.spectrum.dimension >= 2:
-        rest = [None if v.approval is None else v.approval.sides[1:] for v in society.voters]
-        runs = [
-            [j for j in run if all(a.lo <= b.hi and b.lo <= a.hi for a, b in zip(rest[i], rest[j]))]
-            for i, run in zip(order, runs)
-        ]
     edges = frozenset([
         (ids[i], ids[j]) if i < j else (ids[j], ids[i])
-        for i, run in zip(order, runs)
+        for i, run in _meeting_runs(society)
         for j in run
     ])
     return Graph._trusted(ids, edges)

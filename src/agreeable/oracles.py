@@ -363,7 +363,7 @@ def _brute_grid(society: Society) -> Iterator[tuple[tuple, int]]:
     of a box society, as coordinate tuples in ``itertools.product`` order of
     the sorted axes; a line or slate voter is the 1-box of its interval.
     O(P n) exact containment tests for P points; kept independent of the
-    difference-array masks it cross-checks.
+    clique enumeration it cross-checks.
     """
     spectrum = society.spectrum
     boxes = [
@@ -384,11 +384,9 @@ def brute_platform_masks(society: Society) -> list[int]:
     """Platform masks read off the containment grid.
 
     Deduplicated, most voters first (ties by value), masks contained in
-    another dropped, all kept past 4000 distinct masks.
+    another dropped.
     """
     ordered = sorted({mask for _, mask in _brute_grid(society)} - {0}, key=lambda m: (-m.bit_count(), m))
-    if len(ordered) > 4000:
-        return ordered
     maximal: list[int] = []
     for m in ordered:
         if not any(m & keep == m for keep in maximal):

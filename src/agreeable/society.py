@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Union
+from typing import IO, Iterator, Union
 
 from ._frozen import Frozen, set_field
 from .errors import CapExceededError
@@ -40,8 +40,9 @@ from .errors import CapExceededError
 # number as an int: int comparisons run in C, Fraction's in Python.
 Coord = int | Fraction
 
-# A box society's platform grid holds up to n^d points: fine at desk scale,
-# unacceptable beyond it, so past these limits box computations are refused.
+# Box work grows with n^d: up to n^d maximal cliques, each a mask the subset
+# search scans at every node, and C(n, d+1) good-set subsets.  Until a work
+# budget bounds it, box computations past these limits are refused.
 MAX_BOX_VOTERS = 30
 MAX_BOX_DIMENSION = 3
 
@@ -255,9 +256,21 @@ class Society(Frozen):
         return tuple(validate(self))
 
     @cached_property
-    def _platform_table(self) -> "_PlatformTable":
-        """:func:`_build_platform_table`'s table, built on first use."""
-        return _build_platform_table(self)
+    def _cliques(self) -> tuple[int, ...]:
+        """The maximal cliques of the agreement graph as voter bitmasks, most
+        voters first (ties by value), built on first use.
+
+        Intervals, candidate runs and boxes have Helly number 2, so these
+        are the maximal voter sets that share a platform; voters approving
+        nothing are in none.  Raises ValueError for a malformed society and
+        CapExceededError past the box caps.
+        """
+        require_valid(self)
+        if isinstance(self.spectrum, BoxSpectrum):
+            _require_box_caps(self)
+        wide = isinstance(self.spectrum, BoxSpectrum) and self.spectrum.dimension >= 2
+        cliques = _box_cliques(self) if wide else _interval_cliques(*self._spans)
+        return tuple(sorted(cliques, key=lambda m: (-m.bit_count(), m)))
 
     @cached_property
     def _spans(self) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
@@ -268,7 +281,7 @@ class Society(Frozen):
         On a slate, the indices of the first and the last approved candidate
         (:func:`_candidate_range`); else the :func:`_order_keys` of the ends
         of the interval, or of a box's first side.  Two spans meet iff those
-        do, so the sweep, the tally, the agreement graph and the coloring
+        do, so the sweep, the tally, the graph, the cliques and the coloring
         compare ints only.  Two tuples rather than a pair per voter, so that
         the view allocates nothing per voter.
 
@@ -439,37 +452,8 @@ def _slate_spans(intervals, candidates: tuple[Coord, ...]) -> tuple[tuple[int | 
     return tuple(span[0] for span in spans), tuple(span[1] for span in spans)
 
 
-class _PlatformTable(Frozen):
-    """A platform set that is exhaustive for every voter subset at once.
-
-    The platforms are ``itertools.product(*axes)``, in that order, and
-    ``masks[p]`` has bit i set iff voter i approves platform p.
-    """
-
-    __slots__ = ("axes", "masks", "__dict__")
-
-    def __init__(self, axes: tuple[tuple[Coord, ...], ...], masks: tuple[int, ...]):
-        set_field(self, "axes", axes)
-        set_field(self, "masks", masks)
-
-    @cached_property
-    def maximal(self) -> tuple[int, ...]:
-        """The distinct non-zero masks, most voters first (ties by value),
-        less every mask contained in another: such a mask can never decide a
-        depth comparison.  Past 4000 distinct masks all are kept."""
-        ordered = sorted(set(self.masks) - {0}, key=lambda m: (-m.bit_count(), m))
-        if len(ordered) > 4000:  # keep the quadratic filter cheap
-            return tuple(ordered)
-        kept: list[int] = []
-        for m in ordered:
-            if not any(m & keep == m for keep in kept):
-                kept.append(m)
-        return tuple(kept)
-
-
 def _require_box_caps(society: Society) -> None:
-    """Raise CapExceededError for a box society past ``MAX_BOX_VOTERS``
-    voters or ``MAX_BOX_DIMENSION`` dimensions."""
+    """Refuse a box society past ``MAX_BOX_VOTERS`` voters or ``MAX_BOX_DIMENSION`` dimensions."""
     if society.n > MAX_BOX_VOTERS:
         raise CapExceededError(f"box societies are capped at {MAX_BOX_VOTERS} voters, got {society.n}")
     if society.spectrum.dimension > MAX_BOX_DIMENSION:
@@ -478,53 +462,74 @@ def _require_box_caps(society: Society) -> None:
         )
 
 
-def _build_platform_table(society: Society) -> _PlatformTable:
-    """The platforms a maximum depth can need, with their voter bitmasks.
+def _meeting_runs(society: Society) -> Iterator[tuple[int, list[int]]]:
+    """Each voter with a span, by left span end, with the later voters in
+    that order whose approval sets meet its own: a contiguous run of spans
+    starting at most at its right end, filtered by the other sides for
+    boxes with d >= 2.  O(n log n + R d) for R first-axis pairs."""
+    los, his = society._spans
+    order = sorted([i for i, lo in enumerate(los) if lo is not None], key=los.__getitem__)
+    starts = [los[i] for i in order]
+    runs = [order[p + 1 : bisect_right(starts, his[i], p + 1)] for p, i in enumerate(order)]
+    for axis in range(1, society.spectrum.dimension if isinstance(society.spectrum, BoxSpectrum) else 1):
+        lo = [None if v.approval is None else v.approval.sides[axis].lo for v in society.voters]
+        hi = [None if v.approval is None else v.approval.sides[axis].hi for v in society.voters]
+        runs = [[j for j in run if lo[j] <= hi[i] and lo[i] <= hi[j]] for i, run in zip(order, runs)]
+    return zip(order, runs)
 
-    Line: the distinct left endpoints (a maximum-depth point shifts left to
-    the largest left endpoint below it).  Candidates: the slate.  d-box: the
-    grid of per-axis distinct lower endpoints (a maximum-depth point shifts,
-    axis by axis, down to the largest lower endpoint among the boxes
-    containing it).
 
-    Each axis takes one pass: a voter's side covers one run of the axis's
-    sorted coordinates, found by two bisections (:func:`_candidate_range`;
-    on a slate, :attr:`Society._spans`); its bit is XORed into a
-    difference array at both ends of the run, and a prefix XOR gives the
-    mask at every coordinate.  A grid point's mask is the AND of its axis
-    masks.  O(n log P + P) big-int operations per axis of P coordinates and
-    O(P^d * d) ANDs for the grid, all exact.
+def _interval_cliques(los, his) -> list[int]:
+    """The maximal cliques of spans, by one pass over the P distinct left ends.
 
-    Raises CapExceededError for a box society past the box caps.
+    A prefix XOR over a difference array gives the mask of the spans holding
+    each left end t.  Every clique lies in such a mask.  The mask at t holds
+    the spans starting at t, so no earlier mask contains it; it lies in the
+    next left end's mask unless one of its spans ends first, that is unless
+    t is the last left end at or below some right end.  O(n log n + P).
     """
-    require_valid(society)
-    spec = society.spectrum
-    if isinstance(spec, CandidateSpectrum):
-        axes = [spec.candidates]
-        runs = [[(1 << i, None if lo is None else (lo, hi)) for i, (lo, hi) in enumerate(zip(*society._spans))]]
-    else:
-        if isinstance(spec, BoxSpectrum):
-            _require_box_caps(society)
-        # A line interval is the one side of a 1-box.
-        sides = [
-            (1 << i, v.approval.sides if isinstance(v.approval, Box) else (v.approval,))
-            for i, v in enumerate(society.voters)
-            if v.approval is not None
-        ]
-        dimension = spec.dimension if isinstance(spec, BoxSpectrum) else 1
-        axes = [tuple(sorted({s[a].lo for _, s in sides})) for a in range(dimension)]
-        runs = [[(bit, _candidate_range(s[a], axis)) for bit, s in sides] for a, axis in enumerate(axes)]
+    lefts = sorted({lo for lo in los if lo is not None})
+    diff = [0] * (len(lefts) + 1)
+    maximal = bytearray(len(lefts))
+    for i, (lo, hi) in enumerate(zip(los, his)):
+        if lo is not None:
+            last = bisect_right(lefts, hi) - 1
+            diff[bisect_left(lefts, lo)] ^= 1 << i
+            diff[last + 1] ^= 1 << i
+            maximal[last] = 1
+    return list(itertools.compress(itertools.accumulate(diff, operator.xor), maximal))
 
-    masks = [-1]
-    for axis, axis_runs in zip(axes, runs):
-        diff = [0] * (len(axis) + 1)
-        for bit, span in axis_runs:
-            if span is not None:
-                diff[span[0]] ^= bit
-                diff[span[1] + 1] ^= bit
-        axis_masks = list(itertools.accumulate(diff[:-1], operator.xor))
-        masks = [m & x for m in masks for x in axis_masks]
-    return _PlatformTable(tuple(axes), tuple(masks))
+
+def _box_cliques(society: Society) -> list[int]:
+    """The maximal cliques of a box agreement graph: Bron--Kerbosch with
+    Tomita pivoting on neighbour bitmasks (Bron & Kerbosch 1973; Tomita,
+    Tanaka & Takahashi 2006)."""
+    adjacent = [0] * society.n
+    for i, run in _meeting_runs(society):
+        for j in run:
+            adjacent[i] |= 1 << j
+            adjacent[j] |= 1 << i
+    cliques: list[int] = []
+
+    def expand(clique: int, candidates: int, excluded: int) -> None:
+        if not candidates:
+            if clique and not excluded:  # clique 0: no voter approves anything
+                cliques.append(clique)
+            return
+        pivot = max(_bits(candidates | excluded), key=lambda u: (candidates & adjacent[u]).bit_count())
+        for v in _bits(candidates & ~adjacent[pivot]):
+            expand(clique | 1 << v, candidates & adjacent[v], excluded & adjacent[v])
+            candidates ^= 1 << v
+            excluded |= 1 << v
+
+    expand(0, sum(1 << i for i, v in enumerate(society.voters) if v.approval is not None), 0)
+    return cliques
+
+
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def approved_candidates(interval: Interval | None, spectrum: CandidateSpectrum) -> tuple[Coord, ...]:

@@ -1,4 +1,5 @@
-"""Hypothesis strategies for societies and small graphs."""
+"""Hypothesis strategies for societies and small graphs, and larger
+societies for explicit examples."""
 
 from fractions import Fraction
 
@@ -10,13 +11,27 @@ from agreeable import (
     CandidateSpectrum,
     Interval,
     LINE,
+    RandomConfig,
     Society,
     Voter,
     make_box,
     make_interval,
+    random_society,
     to_box_society,
 )
 from agreeable.graphs import Graph
+
+
+def _larger(kind: str, n: int, dimension: int, seed: int, coord_max: int) -> Society:
+    config = RandomConfig(coord_min=0, coord_max=coord_max, max_length=4, empty_percent=10, dimension=dimension)
+    return random_society(kind, n, seed, config)
+
+
+# Integer sides of length 0 to 4 on a short range, so sides touch and
+# degenerate to points; 18, 2 and 4 voters approve nothing.
+LINE_200 = _larger("line", 200, 1, 1, 150)
+BOX2_30 = _larger("box", 30, 2, 2, 10)
+BOX3_30 = _larger("box", 30, 3, 3, 8)
 
 coords = st.one_of(
     st.integers(min_value=-15, max_value=15),

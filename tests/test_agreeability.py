@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from agreeable import (
@@ -20,7 +20,7 @@ from agreeable import (
 from agreeable.agreeability import platform_masks
 from agreeable.oracles import brute_platform_masks
 
-from strategies import line_societies, pooled_societies
+from strategies import BOX2_30, BOX3_30, LINE_200, line_societies, pooled_societies
 
 
 def test_params_validation():
@@ -212,6 +212,9 @@ def test_agreeability_matches_subset_enumeration_all_kinds():
 
 
 @given(pooled_societies())
+@example(LINE_200)
+@example(BOX2_30)
+@example(BOX3_30)
 @settings(max_examples=300, deadline=None)
 def test_platform_masks_match_brute_force(society):
     assert platform_masks(society) == brute_platform_masks(society)

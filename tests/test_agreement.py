@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from agreeable import (
@@ -26,6 +26,8 @@ from agreeable.society import _order_keys
 from agreeable.oracles import brute_box_depth, brute_line_agreement
 
 from strategies import (
+    BOX2_30,
+    BOX3_30,
     box_societies,
     coords,
     crowded_line_societies,
@@ -236,6 +238,8 @@ def test_box_caps():
 
 
 @given(pooled_societies(kinds=(1, 2, 3)))
+@example(BOX2_30)
+@example(BOX3_30)
 @settings(max_examples=200, deadline=None)
 def test_box_depth_matches_brute_force(society):
     assert agreement(society) == brute_box_depth(society)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -278,6 +279,18 @@ def test_bounds_refuses_a_long_radicand_before_its_enclosure(capsys, default_int
     code, out, err = run_cli(argv, capsys=capsys)
     assert time.perf_counter() - start < 2
     assert (code, out, err) == (2, "", "error: the fractional_helly bound's radicand has more than 4300 digits\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bounds_refuses_a_long_radicand_before_building_it(monkeypatch, capsys, default_int_digit_limit, fmt):
+    # C(10**200, 50000) would have about 10**7 digits and take over half a
+    # minute to build: the sizes of m, k and d alone refuse it.
+    built, comb = [], math.comb
+    monkeypatch.setattr(math, "comb", lambda n, r: built.append(n) or comb(n, r))
+    argv = ["bounds", "--k", "50000", "--m", str(10**200), "--d", "49999", "--format", fmt]
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: the fractional_helly bound's radicand has more than 4300 digits\n")
+    assert 10**200 not in built
 
 
 BOUNDS_WITH_NO_GOOD_SETS = {

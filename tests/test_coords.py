@@ -62,11 +62,11 @@ def _coords(value):
 
 def _outputs(society: Society) -> list:
     """The coordinates each coordinate-returning entry point gives for this
-    society: the sweep, tally or box-depth witnesses, the platform table's
-    axes; on the line the oracle witnesses, the Farey image and the
-    two-platform cover; on the line or a slate the common platform."""
+    society: the sweep, tally or box-depth witnesses; on the line the oracle
+    witnesses, the Farey image and the two-platform cover; on the line or a
+    slate the common platform."""
     report = agreement(society)
-    out = [report.witnesses, list(report.per_candidate or ()), society._platform_table.axes]
+    out = [report.witnesses, list(report.per_candidate or ())]
     if isinstance(society.spectrum, LineSpectrum):
         out.append(brute_line_agreement(society).witnesses)
         if -1 not in _coords(society):  # x -> x/(x+1) is undefined at -1

@@ -3,8 +3,9 @@
 The digests pin ``generate`` output, ``verify --format json`` reports,
 ``analyze --format json`` and ``check --format json`` reports (with their
 bound sheets and lexicographically-first agreeability witnesses, on line,
-candidate and box societies, and on a 20 000-voter line document mixing
-int, ``p/q`` and decimal tokens), ``bounds --format json`` and the library tour
+candidate and box societies, on a 6 000-voter line and a dense 30-voter
+3-box society, and on a 20 000-voter line document mixing int, ``p/q`` and
+decimal tokens), ``bounds --format json`` and the library tour
 on a slate (restriction, tally, agreement graph, first-fit coloring), and
 the agreement graphs of 2-box and 3-box societies, one of them on p/q
 sides.  Any faster path must reproduce these bytes exactly; a changed
@@ -80,6 +81,57 @@ BOX_KM = {
         (3, 7),
         (3, 6),
     ),
+}
+
+# A 6 000-voter line whose left endpoints carry 5 051 distinct voter sets,
+# 3 168 of them maximal; (k, m) with m = n, so the search has one subset.
+LARGE_LINE = [
+    "generate", "random", "--kind", "line", "--n", "6000", "--seed", "3", "--coord-max", "18000", "--max-length", "12",
+]
+LARGE_LINE_RUNS = {
+    "check-line-6000-k1": ["check", "--k", "1", "--m", "6000", "--format", "json"],
+    "check-line-6000-k2": ["check", "--k", "2", "--m", "6000", "--format", "json"],
+    "analyze-line-6000-k2": ["analyze", "--k", "2", "--m", "6000", "--format", "json"],
+}
+
+# A 30-voter 3-box society at the box voter cap: its 27 000-point grid of
+# per-axis lower endpoints carries 3 608 distinct voter sets, 14 of them
+# maximal.  Written out, so that it does not depend on the generators.
+DENSE_BOXES = (
+    ((-35, 49), (39, 67), (-28, 65)),
+    ((-91, 159), (42, 52), (-73, 91)),
+    ((13, 128), (4, 137), (-7, 191)),
+    ((-97, 197), (43, 48), (-85, 77)),
+    ((14, 55), (-4, 103), (-18, 155)),
+    ((26, 47), (61, 76), (-48, 43)),
+    ((32, 160), (-55, 105), (-162, 35)),
+    ((-74, 56), (-1, 78), (8, 108)),
+    ((-33, 61), (35, 164), (-27, 121)),
+    ((-86, 27), (-80, 114), (45, 82)),
+    ((-110, 167), (-72, 116), (53, 259)),
+    ((-169, 70), (-78, 115), (46, 53)),
+    ((-23, 30), (-51, 84), (6, 61)),
+    ((-85, 67), (-18, 71), (26, 97)),
+    ((20, 29), (-53, 169), (-46, 236)),
+    ((-17, 44), (32, 89), (-20, 94)),
+    ((8, 73), (10, 120), (-4, 159)),
+    ((-38, 133), (-42, 66), (16, 74)),
+    ((7, 32), (22, 61), (-84, 72)),
+    ((25, 91), (-34, 81), (-50, 61)),
+    ((-10, 106), (24, 156), (-2, 101)),
+    ((-167, 220), (52, 135), (36, 105)),
+    ((28, 43), (-39, 85), (-54, 37)),
+    ((40, 61), (-105, 15), (54, 61)),
+    ((0, 72), (23, 93), (-1, 77)),
+    ((-100, 74), (46, 160), (-80, 122)),
+    ((-12, 25), (31, 93), (-151, 131)),
+    ((-39, 38), (-22, 47), (5, 162)),
+    ((30, 69), (48, 107), (-110, 105)),
+    ((-43, 52), (-3, 112), (15, 135)),
+)
+DENSE_BOX_RUNS = {
+    "check-dense-box3-witness": ["check", "--k", "4", "--m", "5", "--format", "json"],
+    "analyze-dense-box3-witness": ["analyze", "--k", "4", "--m", "5", "--format", "json"],
 }
 
 BOUNDS = {"bounds": ["bounds", "--k", "4", "--m", "15", "--n", "21", "--d", "2", "--format", "json"]}
@@ -208,6 +260,11 @@ GOLDEN = {
     "check-box3-witness": "56019c00382b54123a18266f78f0d5f122646410e2f18cf0b5fdc6c2c46e52d8",
     "analyze-box3-agreeable": "bc49ad2f766f0ffa282f190ed1409f457ce573ff775b709612d9490cea710038",
     "analyze-box3-witness": "928783a5e73618d058283d7989a23e05bbcd0fae6945c0b9b8219f8186d148f6",
+    "analyze-line-6000-k2": "3ccc486acd8cc31c80e2498f6b797446433d05b7bccc2bdedca969f4365f2f47",
+    "check-line-6000-k1": "0ac262b06eb95f032b56cbc5619b646562a116597a27be39d81ff7488a556609",
+    "check-line-6000-k2": "0a3ab8f525dc784ad6a7c296fa52227db26dc586ade2a6f351b774dc7195c7be",
+    "analyze-dense-box3-witness": "8d5f751e5e3fa1abc73c81fc105f182618b2fc0b80a437ea5cb5e66428790ead",
+    "check-dense-box3-witness": "573f0e0d7877add9ffb20ff1ca4668e22c814af15ebebdf9546323bf656c65ea",
     "bounds": "3fe994008e44ce634c0a5bb524165b2983b3c4107aa0a2c50566b42e6aa9a084",
     "box-graph-2": "fb29df8fb97a0e13aa5313f92a5c5347c61db9b20f7ecca590a059321dc5b76e",
     "box-graph-3": "bfda762c9cb2e01781e92638b801766adae8728b36bf748b22e7eb102c9c4fc2",
@@ -272,6 +329,22 @@ def test_analyze_mixed_line_digest(capsys, tmp_path):
     path.write_text(_mixed_line_document(), encoding="utf-8")
     out = _run(["analyze", str(path), "--format", "json"], capsys)
     assert _digest(out) == GOLDEN["analyze-mixed-line"]
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_LINE_RUNS))
+def test_large_line_digest(name, capsys, tmp_path):
+    path = tmp_path / "society.json"
+    path.write_bytes(_run(LARGE_LINE, capsys))
+    out = _run([LARGE_LINE_RUNS[name][0], str(path), *LARGE_LINE_RUNS[name][1:]], capsys)
+    assert _digest(out) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_BOX_RUNS))
+def test_dense_box_digest(name, capsys, tmp_path):
+    path = tmp_path / "society.json"
+    path.write_text(dumps_society(box_society(DENSE_BOXES)), encoding="utf-8")
+    out = _run([DENSE_BOX_RUNS[name][0], str(path), *DENSE_BOX_RUNS[name][1:]], capsys)
+    assert _digest(out) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(BOX_GRAPHS))
