@@ -1,14 +1,31 @@
 """The immutable value types' common base.
 
-A value type lists its fields, in constructor order, in ``__slots__`` and
-writes its own ``__init__``, which stores each field with
-:data:`set_field`.  The base makes every instance read-only and gives the
-field-wise ``==``, ``hash`` and ``repr`` of a frozen dataclass, without
-importing ``dataclasses``.
+A value type lists its fields, in constructor order, in ``__slots__``, and
+the defaults of its trailing fields in an optional ``_defaults`` mapping.
+The base builds its ``__init__``, which stores each field with
+:data:`set_field`, makes every instance read-only and gives the field-wise
+``==``, ``hash`` and ``repr`` of a frozen dataclass, without importing
+``dataclasses``.
 """
+
+from operator import attrgetter
 
 # How an ``__init__`` stores a field past Frozen's refusing ``__setattr__``.
 set_field = object.__setattr__
+
+
+def _build_init(cls):
+    """``__init__(self, *fields)`` storing each field, compiled once per
+    class: a generic ``*args`` constructor costs three times as much per
+    call, and ``Interval`` and ``Voter`` are built once per loaded voter."""
+    fields = cls._fields
+    stores = "".join(f"    set_field(self, {name!r}, {name})\n" for name in fields)
+    namespace: dict = {"set_field": set_field}
+    exec(f"def __init__(self, {', '.join(fields)}):\n{stores or '    pass'}\n", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(cls._defaults[name] for name in fields if name in cls._defaults)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 class Frozen:
@@ -16,21 +33,30 @@ class Frozen:
 
     ``_fields`` is the subclass's ``__slots__`` less ``"__dict__"``, which a
     subclass holding ``functools.cached_property`` values adds to its
-    slots.  Pickling and copying rebuild an instance by calling the class
-    with its field values, so ``__init__`` must take the fields
-    positionally, in slot order.  A subclass that must stay mutable puts
-    back ``object``'s ``__setattr__`` and ``__delattr__`` and sets
-    ``__hash__ = None``, as a non-frozen dataclass has it.
+    slots; ``_values(instance)`` is their values as a tuple.  A subclass
+    that defines no ``__init__`` gets one taking the fields positionally,
+    in slot order, with the defaults of ``_defaults``; pickling and copying
+    call the class that way.  A subclass that validates writes its own
+    ``__init__``.  One that must stay mutable puts back ``object``'s
+    ``__setattr__`` and ``__delattr__`` and sets ``__hash__ = None``, as a
+    non-frozen dataclass has it.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
+    _defaults: dict = {}
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        fields = cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        # An attrgetter is no descriptor, so ``self._values`` is the getter
+        # itself, called with the instance; so is a static method.
+        if len(fields) == 1:
+            get = attrgetter(fields[0])
+            cls._values = staticmethod(lambda obj: (get(obj),))
+        else:
+            cls._values = attrgetter(*fields) if fields else staticmethod(lambda obj: ())
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _build_init(cls)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -40,15 +66,15 @@ class Frozen:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == other._values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return (type(self), self._values())
+        return (type(self), self._values(self))

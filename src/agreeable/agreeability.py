@@ -75,14 +75,12 @@ class AgreeParams(Frozen):
 
 
 class AgreeabilityResult(Frozen):
-    __slots__ = ("agreeable", "params", "witness")
+    """A verdict; for a negative one, ``witness`` is the lexicographically
+    first (in voter order) m-subset with no platform approved by k of its
+    members."""
 
-    def __init__(self, agreeable: bool, params: AgreeParams, witness: tuple[str, ...] | None = None):
-        set_field(self, "agreeable", agreeable)
-        set_field(self, "params", params)
-        # For a negative verdict: the lexicographically first (in voter
-        # order) m-subset with no platform approved by k of its members.
-        set_field(self, "witness", witness)
+    __slots__ = ("agreeable", "params", "witness")
+    _defaults = {"witness": None}
 
 
 def platform_masks(society: Society) -> list[int]:

@@ -30,7 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .society import (
     BoxSpectrum,
     CandidateSpectrum,
@@ -59,12 +59,7 @@ class AgreementReport(Frozen):
     """
 
     __slots__ = ("agreement_number", "n", "witnesses", "per_candidate")
-
-    def __init__(self, agreement_number: int, n: int, witnesses: tuple, per_candidate: dict | None = None):
-        set_field(self, "agreement_number", agreement_number)
-        set_field(self, "n", n)
-        set_field(self, "witnesses", witnesses)
-        set_field(self, "per_candidate", per_candidate)
+    _defaults = {"per_candidate": None}
 
     @property
     def proportion(self) -> Fraction:
@@ -210,12 +205,6 @@ class TwoPlatformCover(Frozen):
     """Two platforms such that every approval set contains at least one."""
 
     __slots__ = ("x", "y", "count_x", "count_y")
-
-    def __init__(self, x: Coord, y: Coord, count_x: int, count_y: int):
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-        set_field(self, "count_x", count_x)
-        set_field(self, "count_y", count_y)
 
     @property
     def best_count(self) -> int:

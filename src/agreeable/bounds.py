@@ -21,7 +21,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .agreeability import AgreeParams, AgreeabilityResult, is_km_agreeable
 from .agreement import AgreementReport, agreement
 from .errors import CapExceededError
@@ -36,10 +36,6 @@ class Division(Frozen):
     """The division with remainder m - 1 = (k-1)*q + rho, 0 <= rho <= k-2."""
 
     __slots__ = ("q", "rho")
-
-    def __init__(self, q: int, rho: int):
-        set_field(self, "q", q)
-        set_field(self, "rho", rho)
 
 
 def division(params: AgreeParams) -> Division:
@@ -119,10 +115,6 @@ class FractionalHellyBound(Frozen):
 
     __slots__ = ("radicand", "degree")
 
-    def __init__(self, radicand: Fraction, degree: int):
-        set_field(self, "radicand", radicand)
-        set_field(self, "degree", degree)
-
     def satisfied_by(self, proportion: Fraction) -> bool:
         shortfall = 1 - proportion
         if shortfall <= 0:
@@ -158,15 +150,20 @@ def fractional_helly_bound(d: int, params: AgreeParams) -> FractionalHellyBound:
         raise ValueError("dimension must be >= 1")
     if m <= d:
         raise ValueError(f"need m > d, got m={m}, d={d}")
-    # C(m, d+1) has about (d+1) log10(m) digits.  It is not built when alpha
-    # is 0, nor when the radicand's denominator, at least C(m, d+1)/C(k, d+1)
-    # >= (m/k)^(d+1) > 2^((d+1)(bit_length(m) - 1 - bit_length(k))), would
-    # pass 3.322 * limit bits, hence limit digits, too many to print.
+    # The radicand p/q has p < q, so it prints exactly when its reduced
+    # denominator q stays below 10**limit.  C(m, d+1) has about
+    # (d+1) log10(m) digits.  It is not built when alpha is 0, nor when q,
+    # at least C(m, d+1)/C(k, d+1) >= (m/k)^(d+1)
+    # > 2^((d+1)(bit_length(m) - 1 - bit_length(k))), would pass
+    # 3.322 * limit bits, hence limit digits.
     good = math.comb(k, d + 1)
     limit = sys.get_int_max_str_digits()
+    too_long = f"the fractional_helly bound's radicand has more than {limit} digits"
     if good and limit and (d + 1) * (m.bit_length() - 1 - k.bit_length()) * 1000 >= limit * 3322:
-        raise CapExceededError(f"the fractional_helly bound's radicand has more than {limit} digits")
+        raise CapExceededError(too_long)
     alpha = Fraction(good, math.comb(m, d + 1)) if good else Fraction(0)
+    if limit and alpha.denominator >= 10**limit:
+        raise CapExceededError(too_long)
     return FractionalHellyBound(1 - alpha, d + 1)
 
 
@@ -184,15 +181,7 @@ def small_m_bound(n: int, params: AgreeParams) -> int:
 
 class BoundEntry(Frozen):
     __slots__ = ("name", "applicable", "value", "satisfied", "note")
-
-    def __init__(
-        self, name: str, applicable: bool, value: object = None, satisfied: bool | None = None, note: str = ""
-    ):
-        set_field(self, "name", name)
-        set_field(self, "applicable", applicable)
-        set_field(self, "value", value)
-        set_field(self, "satisfied", satisfied)
-        set_field(self, "note", note)
+    _defaults = {"value": None, "satisfied": None, "note": ""}
 
     def to_obj(self) -> dict:
         obj: dict = {"name": self.name, "applicable": self.applicable}
@@ -219,22 +208,7 @@ class BoundSheet(Frozen):
     """
 
     __slots__ = ("params", "n", "agreement_number", "vacuous", "entries", "agreeability_witness")
-
-    def __init__(
-        self,
-        params: AgreeParams,
-        n: int,
-        agreement_number: int,
-        vacuous: bool,
-        entries: tuple[BoundEntry, ...],
-        agreeability_witness: tuple[str, ...] | None = None,
-    ):
-        set_field(self, "params", params)
-        set_field(self, "n", n)
-        set_field(self, "agreement_number", agreement_number)
-        set_field(self, "vacuous", vacuous)
-        set_field(self, "entries", entries)
-        set_field(self, "agreeability_witness", agreeability_witness)
+    _defaults = {"agreeability_witness": None}
 
     @property
     def all_satisfied(self) -> bool:

@@ -18,6 +18,7 @@ from .agreeability import AgreeParams
 from .bounds import division
 from .graphs import Graph
 from .society import (
+    Box,
     BoxSpectrum,
     CandidateSpectrum,
     Interval,
@@ -26,7 +27,6 @@ from .society import (
     Voter,
     box_society,
     linear_society,
-    make_box,
     make_interval,
 )
 
@@ -185,8 +185,7 @@ def random_society(kind: str, n: int, seed: int, config: RandomConfig = RandomCo
             voters.append(Voter(vid, None))
             continue
         if kind == "box":
-            sides = tuple(_draw_interval(rng, config) for _ in range(config.dimension))
-            voters.append(Voter(vid, make_box(*((s.lo, s.hi) for s in sides))))
+            voters.append(Voter(vid, Box(tuple(_draw_interval(rng, config) for _ in range(config.dimension)))))
         else:
             voters.append(Voter(vid, _draw_interval(rng, config)))
     return Society(spectrum, tuple(voters))

@@ -123,9 +123,6 @@ class Coloring(Frozen):
 
     __slots__ = ("assignment",)
 
-    def __init__(self, assignment: dict):
-        set_field(self, "assignment", assignment)
-
     @property
     def num_colors(self) -> int:
         return max(self.assignment.values(), default=0)

@@ -17,7 +17,7 @@ import itertools
 from collections import Counter
 from collections.abc import Iterator
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .agreeability import AgreeParams, _require_subset_cap
 from .agreement import AgreementReport
 from .errors import CapExceededError
@@ -153,10 +153,6 @@ class CoverCertificate(Frozen):
 
     __slots__ = ("cover", "size")
 
-    def __init__(self, cover: tuple[str, ...], size: int):
-        set_field(self, "cover", cover)
-        set_field(self, "size", size)
-
 
 def _covers(independent: list[bool], bits: list[int], size: int) -> Iterator[tuple[int, ...]]:
     """The ``size``-combinations of the vertex ``bits``, in ``combinations``
@@ -182,11 +178,6 @@ def brute_min_vertex_cover(graph: Graph) -> CoverCertificate:
 
 class CoverLemmaReport(Frozen):
     __slots__ = ("hypothesis_holds", "conclusion_holds", "cover_size")
-
-    def __init__(self, hypothesis_holds: bool, conclusion_holds: bool, cover_size: int):
-        set_field(self, "hypothesis_holds", hypothesis_holds)
-        set_field(self, "conclusion_holds", conclusion_holds)
-        set_field(self, "cover_size", cover_size)
 
 
 def check_cover_lemma(graph: Graph) -> CoverLemmaReport:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import IO, Iterator, Union
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .errors import CapExceededError
 
 # The entry points (:func:`as_coord` and the JSON loader) give a whole
@@ -102,20 +102,6 @@ class Interval(Frozen):
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: Coord, hi: Coord):
-        set_field(self, "lo", lo)
-        set_field(self, "hi", hi)
-
-    # Interval, Box and Voter write out ``==`` and ``hash``, which run per
-    # voter, rather than take Frozen's field loop.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lo, self.hi) == (other.lo, other.hi)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
     def contains(self, p: Coord) -> bool:
         return self.lo <= p <= self.hi
 
@@ -136,17 +122,6 @@ class Box(Frozen):
     """Axis-aligned box: the Cartesian product of per-axis intervals."""
 
     __slots__ = ("sides",)
-
-    def __init__(self, sides: tuple[Interval, ...]):
-        set_field(self, "sides", sides)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.sides == other.sides
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.sides,))
 
     @property
     def dimension(self) -> int:
@@ -193,18 +168,12 @@ class CandidateSpectrum(Frozen):
     __slots__ = ("candidates",)
     kind = "candidates"
 
-    def __init__(self, candidates: tuple[Coord, ...]):
-        set_field(self, "candidates", candidates)
-
 
 class BoxSpectrum(Frozen):
     """d-dimensional spectrum; approval sets are d-boxes."""
 
     __slots__ = ("dimension",)
     kind = "box"
-
-    def __init__(self, dimension: int):
-        set_field(self, "dimension", dimension)
 
 
 Spectrum = Union[LineSpectrum, CandidateSpectrum, BoxSpectrum]
@@ -214,18 +183,6 @@ LINE = LineSpectrum()
 
 class Voter(Frozen):
     __slots__ = ("id", "approval")
-
-    def __init__(self, id: str, approval: Approval):
-        set_field(self, "id", id)
-        set_field(self, "approval", approval)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.id, self.approval) == (other.id, other.approval)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.id, self.approval))
 
 
 class Society(Frozen):
@@ -237,10 +194,6 @@ class Society(Frozen):
     """
 
     __slots__ = ("spectrum", "voters", "__dict__")
-
-    def __init__(self, spectrum: Spectrum, voters: tuple[Voter, ...]):
-        set_field(self, "spectrum", spectrum)
-        set_field(self, "voters", voters)
 
     @property
     def n(self) -> int:
@@ -775,6 +728,8 @@ def loads_society(text: str) -> Society:
         obj = _parse_exact(text, line_voter)
     except json.JSONDecodeError as exc:
         raise SocietyFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise SocietyFormatError("JSON nested too deeply") from None
     try:
         return society_from_obj(obj, interned)
     except SocietyFormatError:

@@ -482,11 +482,6 @@ class VerifyReport(Frozen):
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(self, seed: int, trials: int, results: list[PropertyResult]):
-        self.seed = seed
-        self.trials = trials
-        self.results = results
-
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.results)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,21 @@ def test_fractional_helly_preconditions():
         fractional_helly_bound(3, AgreeParams(2, 3))
     with pytest.raises(ValueError):
         fractional_helly_bound(0, AgreeParams(2, 3))
+
+
+def test_fractional_helly_refuses_exactly_the_radicands_too_long_to_print(default_int_digit_limit):
+    # The radicand's denominator has over 800 digits, and C(20010, 10001)
+    # over 6000, yet the sizes of k, m and d alone refuse neither.
+    params = AgreeParams(1002, 3000)
+    digits = len(str(fractional_helly_bound(1000, params).radicand.denominator))
+    sys.set_int_max_str_digits(digits)
+    assert str(fractional_helly_bound(1000, params)).startswith("1 - (")
+    sys.set_int_max_str_digits(digits - 1)
+    with pytest.raises(CapExceededError, match=f"radicand has more than {digits - 1} digits"):
+        fractional_helly_bound(1000, params)
+    sys.set_int_max_str_digits(default_int_digit_limit)
+    with pytest.raises(CapExceededError, match="radicand has more than 4300 digits"):
+        fractional_helly_bound(10000, AgreeParams(10002, 20010))
 
 
 def test_nth_root_enclosure():

@@ -206,6 +206,30 @@ def test_check_deep_search_needs_no_recursion(tmp_path):
     assert obj["witness"] == [f"v{i + 1}" for i in range(1200)]
 
 
+DEEP = 100_000
+DEEPLY_NESTED = {
+    "arrays": "[" * DEEP + "]" * DEEP,
+    "objects": '{"a":' * DEEP + "0" + "}" * DEEP,
+    "voters": '{"spectrum": "line", "voters": ' + "[" * DEEP + "]" * DEEP + "}",
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("command", [["analyze"], ["check", "--k", "2", "--m", "3"]], ids=["analyze", "check"])
+@pytest.mark.parametrize("document", DEEPLY_NESTED, ids=DEEPLY_NESTED)
+def test_deeply_nested_json_is_a_format_error(tmp_path, document, command, source):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEPLY_NESTED[document], encoding="utf-8")
+    name, *options = command
+    result = subprocess.run(
+        [sys.executable, "-m", "agreeable", name, str(path) if source == "file" else "-", *options],
+        input=DEEPLY_NESTED[document] if source == "stdin" else None,
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: JSON nested too deeply\n")
+
+
 def test_check_stops_at_the_node_budget():
     # C(24, 21) = 2024 passes the cap, but the search needs far more than
     # 8 * 2024 nodes to prove this society (4,21)-agreeable.
