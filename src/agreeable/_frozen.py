@@ -2,10 +2,10 @@
 
 A value type lists its fields, in constructor order, in ``__slots__``, and
 the defaults of its trailing fields in an optional ``_defaults`` mapping.
-The base builds its ``__init__``, which stores each field with
-:data:`set_field`, makes every instance read-only and gives the field-wise
-``==``, ``hash`` and ``repr`` of a frozen dataclass, without importing
-``dataclasses``.
+The base builds its ``__init__``, which stores each field through its
+slot's member descriptor, makes every instance read-only and gives the
+field-wise ``==``, ``hash`` and ``repr`` of a frozen dataclass, without
+importing ``dataclasses``.
 """
 
 from operator import attrgetter
@@ -15,12 +15,14 @@ set_field = object.__setattr__
 
 
 def _build_init(cls):
-    """``__init__(self, *fields)`` storing each field, compiled once per
-    class: a generic ``*args`` constructor costs three times as much per
-    call, and ``Interval`` and ``Voter`` are built once per loaded voter."""
+    """``__init__(self, *fields)`` storing each field with its slot
+    descriptor's ``__set__``, compiled once per class: ``Interval`` and
+    ``Voter`` are built once per loaded voter, and a generic ``*args``
+    constructor costs three times as much per call; :data:`set_field`,
+    which looks the slot up by name, half as much again."""
     fields = cls._fields
-    stores = "".join(f"    set_field(self, {name!r}, {name})\n" for name in fields)
-    namespace: dict = {"set_field": set_field}
+    stores = "".join(f"    set_{name}(self, {name})\n" for name in fields)
+    namespace: dict = {f"set_{name}": getattr(cls, name).__set__ for name in fields}
     exec(f"def __init__(self, {', '.join(fields)}):\n{stores or '    pass'}\n", namespace)
     init = namespace["__init__"]
     init.__defaults__ = tuple(cls._defaults[name] for name in fields if name in cls._defaults)

@@ -144,12 +144,6 @@ class RandomConfig(Frozen):
         set_field(self, "dimension", dimension)
 
 
-def _draw_interval(rng: random.Random, config: RandomConfig) -> Interval:
-    lo = rng.randint(config.coord_min, config.coord_max)
-    length = rng.randint(config.min_length, config.max_length)
-    return make_interval(lo, lo + length)
-
-
 def random_society(kind: str, n: int, seed: int, config: RandomConfig = RandomConfig()) -> Society:
     """Seeded random society of the given spectrum kind.
 
@@ -178,16 +172,23 @@ def random_society(kind: str, n: int, seed: int, config: RandomConfig = RandomCo
     elif kind == "box":
         spectrum = BoxSpectrum(config.dimension)
 
+    # The draws go straight into Interval: they are ints, as as_coord would give them.
+    randint, randrange, empty = rng.randint, rng.randrange, config.empty_percent
+    lo_min, lo_max, length_min, length_max = config.coord_min, config.coord_max, config.min_length, config.max_length
+
+    def draw() -> Interval:
+        lo = randint(lo_min, lo_max)
+        return Interval(lo, lo + randint(length_min, length_max))
+
     voters = []
     for i in range(n):
         vid = f"v{i + 1}"
-        if config.empty_percent and rng.randrange(100) < config.empty_percent:
+        if empty and randrange(100) < empty:
             voters.append(Voter(vid, None))
-            continue
-        if kind == "box":
-            voters.append(Voter(vid, Box(tuple(_draw_interval(rng, config) for _ in range(config.dimension)))))
+        elif kind == "box":
+            voters.append(Voter(vid, Box(tuple(draw() for _ in range(config.dimension)))))
         else:
-            voters.append(Voter(vid, _draw_interval(rng, config)))
+            voters.append(Voter(vid, draw()))
     return Society(spectrum, tuple(voters))
 
 

@@ -31,6 +31,7 @@ from bisect import bisect_left, bisect_right
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii  # json.dumps's escaper, in C
 from typing import IO, Iterator, Union
 
 from ._frozen import Frozen
@@ -55,12 +56,14 @@ def as_coord(value: Union[int, str, Fraction, Decimal]) -> Coord:
     rejected: binary floats do not round-trip the decimal literals they came
     from, and exactness is a hard requirement.
     """
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return _integral(value)
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"coordinates must be exact, got {value!r}")
     if isinstance(value, int):
         return int(value)
-    if isinstance(value, Fraction):
-        return _integral(value)
     if isinstance(value, Decimal):
         return _integral(Fraction(value))
     if isinstance(value, str):
@@ -274,12 +277,7 @@ def linear_society(intervals, ids=None) -> Society:
     voters = []
     for i, iv in enumerate(intervals):
         vid = ids[i] if ids is not None else f"v{i + 1}"
-        if iv is None:
-            voters.append(Voter(vid, None))
-        elif isinstance(iv, Interval):
-            voters.append(Voter(vid, iv))
-        else:
-            voters.append(Voter(vid, make_interval(*iv)))
+        voters.append(Voter(vid, iv if iv is None or isinstance(iv, Interval) else make_interval(*iv)))
     return Society(LINE, tuple(voters))
 
 
@@ -289,11 +287,8 @@ def box_society(boxes, ids=None) -> Society:
     voters = []
     for i, b in enumerate(boxes):
         vid = ids[i] if ids is not None else f"v{i + 1}"
-        if b is None:
-            voters.append(Voter(vid, None))
-            continue
-        box = b if isinstance(b, Box) else make_box(*b)
-        if dim is None:
+        box = b if b is None or isinstance(b, Box) else make_box(*b)
+        if dim is None and box is not None:
             dim = box.dimension
         voters.append(Voter(vid, box))
     if dim is None:
@@ -564,9 +559,13 @@ def _exact_decimal(literal: str) -> Coord:
     _, digits, exponent = number.as_tuple()
     limit = sys.get_int_max_str_digits()
     if limit and max(len(digits) + max(exponent, 0), 1 - min(exponent, 0)) > limit:
-        shown = literal if len(literal) <= 40 else literal[:37] + "..."
-        raise SocietyFormatError(f"number {shown} expands to more than {limit} digits")
+        raise SocietyFormatError(f"number {_cut(literal)} expands to more than {limit} digits")
     return _integral(Fraction(number))
+
+
+def _cut(text: str, limit: int = 40) -> str:
+    """``text`` cut to ``limit`` characters, ending in ``...`` if it was longer."""
+    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 def _coord_from_string(text: str) -> Coord:
@@ -575,7 +574,7 @@ def _coord_from_string(text: str) -> Coord:
     try:
         return _integral(_fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SocietyFormatError(f"bad coordinate string {text!r}: {exc}") from exc
+        raise SocietyFormatError(f"bad coordinate string {_cut(repr(text))}: {_cut(str(exc), 80)}") from exc
 
 
 def _coord_from_json(value, interned: dict) -> Coord:
@@ -598,11 +597,16 @@ def _coord_from_json(value, interned: dict) -> Coord:
         return coord
     if isinstance(value, Fraction):
         return _integral(value)
-    raise SocietyFormatError(f"coordinate {value!r} is not a number or 'p/q' string")
+    raise SocietyFormatError(f"coordinate {_cut(repr(value))} is not a number or 'p/q' string")
 
 
 def _coord_to_json(c: Coord):
     return c.numerator if c.denominator == 1 else coord_str(c)
+
+
+def _coord_text(c: Coord) -> str:
+    """The JSON text of :func:`_coord_to_json`'s value."""
+    return f"{c.numerator}" if c.denominator == 1 else f'"{c.numerator}/{c.denominator}"'
 
 
 def _interval_from_json(value, interned: dict, voter: int, axis: int | None = None) -> Interval | None:
@@ -638,7 +642,7 @@ def society_from_obj(obj, interned: dict | None = None) -> Society:
             raise SocietyFormatError("box dimension must be an integer")
         spectrum = BoxSpectrum(d)
     else:
-        raise SocietyFormatError(f"unknown spectrum {raw_spec!r}")
+        raise SocietyFormatError(f"unknown spectrum {_cut(repr(raw_spec))}")
 
     if not isinstance(obj["voters"], list):
         raise SocietyFormatError("'voters' must be a list")
@@ -670,29 +674,8 @@ def _voter_from_json(raw, interned: dict, i: int) -> Voter:
 
 
 def society_to_obj(society: Society) -> dict:
-    """Serialize a Society to JSON-ready data, preserving voter order."""
-    spec = society.spectrum
-    if isinstance(spec, LineSpectrum):
-        raw_spec = "line"
-    elif isinstance(spec, CandidateSpectrum):
-        raw_spec = {"candidates": [_coord_to_json(c) for c in spec.candidates]}
-    else:
-        raw_spec = {"box": spec.dimension}
-
-    voters = []
-    for v in society.voters:
-        a = v.approval
-        if isinstance(a, Box):
-            voters.append(
-                {"id": v.id, "box": [[_coord_to_json(s.lo), _coord_to_json(s.hi)] for s in a.sides]}
-            )
-        elif isinstance(a, Interval):
-            voters.append({"id": v.id, "interval": [_coord_to_json(a.lo), _coord_to_json(a.hi)]})
-        elif isinstance(spec, BoxSpectrum):
-            voters.append({"id": v.id, "box": None})
-        else:
-            voters.append({"id": v.id, "interval": None})
-    return {"spectrum": raw_spec, "voters": voters}
+    """A Society as JSON-ready data in voter order: :func:`dumps_society`'s text, decoded."""
+    return json.loads(dumps_society(society))
 
 
 def _parse_exact(text: str, object_hook=None):
@@ -739,7 +722,24 @@ def loads_society(text: str) -> Society:
 
 
 def dumps_society(society: Society) -> str:
-    return json.dumps(society_to_obj(society), separators=(",", ":")) + "\n"
+    """A Society as compact JSON text and a newline, one f-string per voter:
+    the bytes of ``json.dumps(..., separators=(",", ":"))`` on the same data."""
+    spec, text, compact = society.spectrum, _coord_text, json.JSONEncoder(separators=(",", ":")).encode
+    if isinstance(spec, CandidateSpectrum):
+        head = f'{{"candidates":[{",".join(map(text, spec.candidates))}]}}'
+    else:
+        head = compact("line" if isinstance(spec, LineSpectrum) else {"box": spec.dimension})
+    empty = '"box":null' if isinstance(spec, BoxSpectrum) else '"interval":null'
+    voters = []
+    for v in society.voters:
+        vid, a = encode_basestring_ascii(v.id) if type(v.id) is str else compact(v.id), v.approval
+        if isinstance(a, Interval):
+            voters.append(f'{{"id":{vid},"interval":[{text(a.lo)},{text(a.hi)}]}}')
+        elif isinstance(a, Box):
+            voters.append(f'{{"id":{vid},"box":[{",".join(f"[{text(s.lo)},{text(s.hi)}]" for s in a.sides)}]}}')
+        else:
+            voters.append(f'{{"id":{vid},{empty}}}')
+    return f'{{"spectrum":{head},"voters":[{",".join(voters)}]}}\n'
 
 
 def load_society(fp: Union[str, IO[str]]) -> Society:

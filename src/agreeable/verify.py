@@ -21,7 +21,9 @@ from __future__ import annotations
 import random
 import zlib
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from ._frozen import Frozen
 from .agreeability import AgreeParams, is_km_agreeable, platform_masks
@@ -103,14 +105,18 @@ class _Recorder:
             self.results[name] = PropertyResult(self.suite, name)
         return self.results[name]
 
-    def check(self, name: str, ok: bool, detail: str, artifact: str | None = None) -> None:
+    def check(
+        self, name: str, ok: bool, detail: Callable[[], str], artifact: Callable[[], str] | None = None
+    ) -> None:
+        """Count one check; ``detail`` and ``artifact`` make the violation's
+        text and replay file, and are called only when the check fails."""
         r = self.prop(name)
         r.checked += 1
         if not ok:
-            r.violations.append(detail)
+            r.violations.append(detail())
             if self.failure_dir and artifact is not None:
                 path = Path(self.failure_dir) / f"{self.suite}_{name}_{len(r.violations)}.json"
-                path.write_text(artifact, encoding="utf-8")
+                path.write_text(artifact(), encoding="utf-8")
 
     def ordered(self) -> list[PropertyResult]:
         return [self.results[name] for name in sorted(self.results)]
@@ -152,9 +158,9 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
         s_seed = child_seed(seed, "linear-society", t)
         society = random_society("line", n, s_seed, config)
         tag = f"seed={s_seed} n={n}"
-        art = dumps_society(society)
+        art = partial(dumps_society, society)
 
-        rec.check("generated-societies-validate", not validate(society), tag, art)
+        rec.check("generated-societies-validate", not validate(society), lambda: tag, art)
 
         report = agreement(society)
         image = _farey_image(society)
@@ -162,7 +168,7 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
         rec.check(
             "sweep-matches-endpoint-oracle",
             reports[0] == reports[1] and reports[2] == reports[3],
-            f"{tag} sweep, oracle, image sweep, image oracle: {[r.to_obj() for r in reports]}",
+            lambda: f"{tag} sweep, oracle, image sweep, image oracle: {[r.to_obj() for r in reports]}",
             art,
         )
         for w in report.witnesses:
@@ -174,7 +180,7 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
             rec.check(
                 "witness-intervals-attain-maximum",
                 depth == report.agreement_number,
-                f"{tag} witness={w}",
+                lambda: f"{tag} witness={w}",
                 art,
             )
 
@@ -184,7 +190,7 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
             rec.check(
                 "superagreeable-iff-common-platform",
                 (platform is not None) == (report.agreement_number == society.n),
-                f"{tag} common={platform} a={report.agreement_number}",
+                lambda: f"{tag} common={platform} a={report.agreement_number}",
                 art,
             )
             if n >= 3 and is_km_agreeable(society, AgreeParams(2, 3)).agreeable:
@@ -196,7 +202,7 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
                 rec.check(
                     "two-platform-cover-covers-everyone",
                     covered and cover.best_count >= -(-n // 2),
-                    f"{tag} cover={cover}",
+                    lambda: f"{tag} cover={cover}",
                     art,
                 )
 
@@ -212,13 +218,13 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
             rec.check(
                 "agreeable-societies-meet-linear-bounds",
                 clique.satisfied and proportion.satisfied,
-                f"{tag} k={params.k} m={params.m} a={report.agreement_number} cb={cb}",
+                lambda: f"{tag} k={params.k} m={params.m} a={report.agreement_number} cb={cb}",
                 art,
             )
             rec.check(
                 "clique-bound-dominates-proportion-bound",
                 Fraction(cb) >= pb * n,
-                f"{tag} k={params.k} m={params.m}",
+                lambda: f"{tag} k={params.k} m={params.m}",
             )
 
         if n <= 9:
@@ -231,14 +237,15 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
                 rec.check(
                     "greedy-colors-equal-omega-equal-sweep",
                     first_fit and colors == omega == report.agreement_number,
-                    f"{tag} colors={colors} omega={omega} a={report.agreement_number} first_fit_oracle={first_fit}",
+                    lambda: f"{tag} colors={colors} omega={omega} a={report.agreement_number}"
+                    f" first_fit_oracle={first_fit}",
                     art,
                 )
             same_graph = graph == brute_interval_graph(society)
             rec.check(
                 "agreement-graph-is-perfect",
                 same_graph and is_perfect_by_enumeration(graph),
-                f"{tag} pairwise_oracle={same_graph}",
+                lambda: f"{tag} pairwise_oracle={same_graph}",
                 art,
             )
 
@@ -256,7 +263,7 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
         rec.check(
             "restriction-preserves-candidate-tallies",
             per_candidate_ok and sub_report.agreement_number <= report.agreement_number,
-            f"{tag} slate={slate}",
+            lambda: f"{tag} slate={slate}",
             art,
         )
 
@@ -276,7 +283,7 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
             and a == cb
             and is_km_agreeable(society, params).agreeable
         )
-        rec.check("extremal-construction-tight", ok, f"n={n} k={params.k} m={params.m} a={a} cb={cb}")
+        rec.check("extremal-construction-tight", ok, lambda: f"n={n} k={params.k} m={params.m} a={a} cb={cb}")
 
     for params, n in [(AgreeParams(3, 4), 10), (AgreeParams(2, 2), 6), (AgreeParams(4, 6), 9)]:
         society = clique_plus_isolated(n, params)
@@ -286,7 +293,7 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
         rec.check(
             "clique-plus-isolated-achieves-small-m-bound",
             not validate(society) and a == expected == box_a,
-            f"n={n} k={params.k} m={params.m} a={a}",
+            lambda: f"n={n} k={params.k} m={params.m} a={a}",
         )
 
     return rec.ordered()
@@ -316,9 +323,9 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
         else:
             society = random_society("box", n, s_seed, config)
         tag = f"seed={s_seed} n={n} d={d}"
-        art = dumps_society(society)
+        art = partial(dumps_society, society)
 
-        rec.check("generated-societies-validate", not validate(society), tag, art)
+        rec.check("generated-societies-validate", not validate(society), lambda: tag, art)
 
         report = agreement(society)
         graph = agreement_graph(society)
@@ -329,7 +336,7 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
         rec.check(
             "box-depth-equals-brute-clique",
             report.agreement_number == omega and same_depth and same_masks and same_graph,
-            f"{tag} depth={report.agreement_number} omega={omega}"
+            lambda: f"{tag} depth={report.agreement_number} omega={omega}"
             f" grid_oracle={same_depth} masks_oracle={same_masks} pairwise_oracle={same_graph}",
             art,
         )
@@ -338,7 +345,7 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
             rec.check(
                 "one-box-matches-line-agreement",
                 agreement(line).agreement_number == report.agreement_number,
-                tag,
+                lambda: tag,
                 art,
             )
 
@@ -356,7 +363,7 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
             rec.check(
                 "fractional-helly-power-inequality",
                 helly.satisfied,
-                f"{tag} k={params.k} m={params.m} a={report.agreement_number}",
+                lambda: f"{tag} k={params.k} m={params.m} a={report.agreement_number}",
                 art,
             )
             if n >= d + 1:
@@ -365,14 +372,14 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
                 rec.check(
                     "good-set-counting-inequality",
                     Fraction(g) >= bound,
-                    f"{tag} k={params.k} m={params.m} g={g} bound={bound}",
+                    lambda: f"{tag} k={params.k} m={params.m} g={g} bound={bound}",
                     art,
                 )
             if small_m.applicable:
                 rec.check(
                     "small-m-bound-on-boxes",
                     small_m.satisfied,
-                    f"{tag} k={params.k} m={params.m} a={report.agreement_number} bound={small_m.value}",
+                    lambda: f"{tag} k={params.k} m={params.m} a={report.agreement_number} bound={small_m.value}",
                     art,
                 )
 
@@ -385,8 +392,8 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
         and brute_clique(graph) == 2
         and brute_chromatic(graph) == 3
         and agreement(ring).agreement_number == 2,
-        f"edges={sorted(graph.edges)}",
-        dumps_society(ring),
+        lambda: f"edges={sorted(graph.edges)}",
+        partial(dumps_society, ring),
     )
 
     return rec.ordered()
@@ -413,17 +420,17 @@ def run_graph_suite(trials: int, seed: int, failure_dir: str | None = None) -> l
         g_seed = child_seed(seed, "graph-instance", t)
         graph = random_graph(n, percent, g_seed)
         tag = f"seed={g_seed} n={n} p={percent}"
-        art = graph.to_json()
+        art = graph.to_json
 
         omega = brute_clique(graph)
         chi = brute_chromatic(graph)
-        rec.check("omega-at-most-chi", omega <= chi, f"{tag} omega={omega} chi={chi}", art)
+        rec.check("omega-at-most-chi", omega <= chi, lambda: f"{tag} omega={omega} chi={chi}", art)
 
         cert = brute_min_vertex_cover(graph.complement())
         rec.check(
             "cover-clique-complement-duality",
             n - omega == cert.size,
-            f"{tag} omega={omega} cover={cert.size}",
+            lambda: f"{tag} omega={omega} cover={cert.size}",
             art,
         )
 
@@ -436,14 +443,14 @@ def run_graph_suite(trials: int, seed: int, failure_dir: str | None = None) -> l
             rec.check(
                 "clique-hypothesis-implies-chi-bound",
                 Fraction(chi) >= Fraction(n - div.rho, div.q),
-                f"{tag} k={params.k} m={params.m} chi={chi}",
+                lambda: f"{tag} k={params.k} m={params.m} chi={chi}",
                 art,
             )
             if params.m <= 2 * params.k - 2:
                 rec.check(
                     "clique-hypothesis-implies-small-m-omega",
                     omega >= n - params.m + params.k,
-                    f"{tag} k={params.k} m={params.m} omega={omega}",
+                    lambda: f"{tag} k={params.k} m={params.m} omega={omega}",
                     art,
                 )
 
@@ -457,8 +464,8 @@ def run_graph_suite(trials: int, seed: int, failure_dir: str | None = None) -> l
         rec.check(
             "critical-cover-lemma-holds",
             not (result.hypothesis_holds and not result.conclusion_holds),
-            f"seed={g_seed} n={n} z={result.cover_size}",
-            graph.to_json(),
+            lambda: f"seed={g_seed} n={n} z={result.cover_size}",
+            graph.to_json,
         )
 
     for params, n in [(AgreeParams(2, 3), 10), (AgreeParams(3, 5), 12), (AgreeParams(2, 4), 8)]:
@@ -469,7 +476,7 @@ def run_graph_suite(trials: int, seed: int, failure_dir: str | None = None) -> l
         rec.check(
             "disjoint-cliques-show-gate-necessity",
             hypothesis and a == -(-n // 2) and a < n - params.m + params.k,
-            f"n={n} k={params.k} m={params.m} a={a}",
+            lambda: f"n={n} k={params.k} m={params.m} a={a}",
         )
 
     return rec.ordered()

@@ -230,6 +230,33 @@ def test_deeply_nested_json_is_a_format_error(tmp_path, document, command, sourc
     assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: JSON nested too deeply\n")
 
 
+# A format error names the offending value cut to 40 characters: here a
+# spectrum nested 900 deep, and a 10**5-element list and a 10**5-character
+# string in a coordinate's place (the parser's own message is cut to 80).
+LONG_VALUES = {
+    "spectrum": ('{"spectrum": ' + "[" * 900 + "]" * 900 + ', "voters": []}', "unknown spectrum " + "[" * 37 + "..."),
+    "coordinate": (
+        '{"spectrum": "line", "voters": [{"id": "v1", "interval": [0, [' + ", ".join(["1"] * 10**5) + "]]}]}",
+        "coordinate " + repr([1] * 20)[:37] + "... is not a number or 'p/q' string",
+    ),
+    "string": (
+        '{"spectrum": "line", "voters": [{"id": "v1", "interval": [0, "' + "x" * 10**5 + '"]}]}',
+        "bad coordinate string '" + "x" * 36 + "...: Invalid literal for Fraction: '" + "x" * 46 + "...",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", sorted(LONG_VALUES))
+def test_format_errors_cut_long_values(tmp_path, value):
+    document, message = LONG_VALUES[value]
+    path = tmp_path / "long.json"
+    path.write_text(document, encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "agreeable", "analyze", str(path)], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_check_stops_at_the_node_budget():
     # C(24, 21) = 2024 passes the cap, but the search needs far more than
     # 8 * 2024 nodes to prove this society (4,21)-agreeable.

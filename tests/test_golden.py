@@ -1,6 +1,8 @@
 """Byte-identity gate: SHA-256 digests of outputs that must never change.
 
-The digests pin ``generate`` output, ``verify --format json`` reports,
+The digests pin ``generate`` output (20 000-voter candidate and 3-box
+societies among it), the written text of a 24 000-voter ``p/q`` line
+society, ``verify --format json`` reports,
 ``analyze --format json`` and ``check --format json`` reports (with their
 bound sheets and lexicographically-first agreeability witnesses, on line,
 candidate and box societies, on a 6 000-voter line and a dense 30-voter
@@ -43,6 +45,12 @@ GENERATE = {
     "generate-box2": ["generate", "random", "--kind", "box", "--n", "12", "--seed", "5", "--d", "2"],
     "generate-box3": ["generate", "random", "--kind", "box", "--n", "10", "--seed", "6", "--d", "3"],
     "generate-extremal": ["generate", "extremal", "--n", "21", "--k", "4", "--m", "15"],
+    "generate-box3-20000": [
+        "generate", "random", "--kind", "box", "--d", "3", "--n", "20000", "--seed", "2", "--empty-percent", "5",
+    ],
+    "generate-candidates-20000": [
+        "generate", "random", "--kind", "candidates", "--n", "20000", "--seed", "2", "--empty-percent", "5",
+    ],
 }
 
 VERIFY = {
@@ -202,6 +210,16 @@ def _mixed_line_document(n: int = 20000) -> str:
     return '{"spectrum": "line", "voters": [' + ", ".join(voters) + "]}\n"
 
 
+def _line_bulk_document(n: int = 24000) -> bytes:
+    """The written text of a generated line society rescaled by 2/7, so that
+    most ends are "p/q" strings and one voter in fifty approves nothing."""
+    config = RandomConfig(coord_min=0, coord_max=n, min_length=0, max_length=n // 40, empty_percent=2)
+    society = random_society("line", n, 24, config)
+    scale = Fraction(2, 7)
+    scaled = [None if v.approval is None else (v.approval.lo * scale, v.approval.hi * scale) for v in society.voters]
+    return dumps_society(linear_society(scaled)).encode()
+
+
 def _rational_box_graph() -> bytes:
     """The agreement graph of a 2-box society on a pool of p/q sides, with
     empty voters; written by hand so that it does not depend on the
@@ -243,6 +261,9 @@ GOLDEN = {
     "generate-box2": "c904a712b41d0040e06466e33527f533db611f4cddd58fdffb486c242c6c470d",
     "generate-box3": "1942d032fbe7ea221bad35aa2c69ab3e6f36832314f0df73521d23eb342801f2",
     "generate-extremal": "406257266a698af2fbc31db6f19387a31b0719ddf1c5cc1acc3be3ed9df24cd7",
+    "generate-box3-20000": "8eef4b0428e80a1ed3f6a8519d0c35084b90b5493651cae91947de0e356d808b",
+    "generate-candidates-20000": "1b03796413dc41ba63bf1d6cfabb06d6a8324733695701aca4539735be64576a",
+    "dumps-line-bulk": "f070056c1b1ccc1443e55de1e3dc7ecda233da33f4e634d55233d44dcf495cd1",
     "verify-seed-5": "6568377057478325fc906bb29c5e0418b6963738e59517dd341c0050be3e20a3",
     "verify-seed-11": "166e2e5aa874de80519d01540b6ea4754ef5dd13ef5078896d49a758356a2bc7",
     "analyze-candidates": "82c25ab077b66b272bbd639a63a2800a87b2128a937ccda4d8fa3b44f6eb9db3",
@@ -353,6 +374,10 @@ def test_box_graph_digest(name):
     config = RandomConfig(coord_min=0, coord_max=17, min_length=0, max_length=5, empty_percent=10, dimension=d)
     graph = agreement_graph(random_society("box", n, seed, config))
     assert _digest(graph.to_json().encode()) == GOLDEN[name]
+
+
+def test_line_bulk_document_digest():
+    assert _digest(_line_bulk_document()) == GOLDEN["dumps-line-bulk"]
 
 
 def test_rational_box_graph_digest():

@@ -43,6 +43,19 @@ def test_harness_detects_mutations(monkeypatch, tmp_path):
     json.loads(dumps[0].read_text())  # replayable JSON
 
 
+def test_recorder_makes_detail_and_artifact_only_for_a_failed_check(tmp_path):
+    def unused() -> str:
+        raise AssertionError("called for a passing check")
+
+    rec = verify_mod._Recorder("linear", str(tmp_path))
+    rec.check("p", True, unused, unused)
+    rec.check("p", False, lambda: "detail", lambda: "{}")
+    (result,) = rec.ordered()
+    assert (result.checked, result.violations) == (2, ["detail"])
+    assert [f.name for f in tmp_path.iterdir()] == ["linear_p_1.json"]
+    assert (tmp_path / "linear_p_1.json").read_text() == "{}"
+
+
 def test_failing_seed_is_reported(monkeypatch):
     monkeypatch.setattr(verify_mod, "brute_line_agreement", lambda s: AgreementReport(-1, s.n, ()))
     report = run_suites("linear", 5, seed=2)
