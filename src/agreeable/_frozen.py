@@ -10,7 +10,7 @@ importing ``dataclasses``.
 
 from operator import attrgetter
 
-# How an ``__init__`` stores a field past Frozen's refusing ``__setattr__``.
+# How ``Graph._trusted`` stores a field past Frozen's refusing ``__setattr__``.
 set_field = object.__setattr__
 
 
@@ -22,8 +22,9 @@ def _build_init(cls):
     which looks the slot up by name, half as much again."""
     fields = cls._fields
     stores = "".join(f"    set_{name}(self, {name})\n" for name in fields)
+    check = "    self._check()\n" if hasattr(cls, "_check") else ""
     namespace: dict = {f"set_{name}": getattr(cls, name).__set__ for name in fields}
-    exec(f"def __init__(self, {', '.join(fields)}):\n{stores or '    pass'}\n", namespace)
+    exec(f"def __init__(self, {', '.join(fields)}):\n{stores + check or '    pass'}\n", namespace)
     init = namespace["__init__"]
     init.__defaults__ = tuple(cls._defaults[name] for name in fields if name in cls._defaults)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -37,9 +38,10 @@ class Frozen:
     subclass holding ``functools.cached_property`` values adds to its
     slots; ``_values(instance)`` is their values as a tuple.  A subclass
     that defines no ``__init__`` gets one taking the fields positionally,
-    in slot order, with the defaults of ``_defaults``; pickling and copying
-    call the class that way.  A subclass that validates writes its own
-    ``__init__``.  One that must stay mutable puts back ``object``'s
+    in slot order, with the defaults of ``_defaults``, that ends by calling
+    ``self._check()`` if the subclass validates its fields in that method;
+    pickling and copying call the class that way.  One that must stay
+    mutable writes its own ``__init__``, puts back ``object``'s
     ``__setattr__`` and ``__delattr__`` and sets ``__hash__ = None``, as a
     non-frozen dataclass has it.
     """

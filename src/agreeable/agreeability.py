@@ -34,7 +34,7 @@ import os
 from functools import reduce
 from operator import or_
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .errors import CapExceededError
 from .society import Society, require_valid
 
@@ -67,11 +67,9 @@ class AgreeParams(Frozen):
 
     __slots__ = ("k", "m")
 
-    def __init__(self, k: int, m: int):
-        if not (1 <= k <= m):
-            raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-        set_field(self, "k", k)
-        set_field(self, "m", m)
+    def _check(self) -> None:
+        if not (1 <= self.k <= self.m):
+            raise ValueError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
 
 
 class AgreeabilityResult(Frozen):

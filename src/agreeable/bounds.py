@@ -125,9 +125,9 @@ class FractionalHellyBound(Frozen):
         root_lo, root_hi = nth_root_enclosure(self.radicand, self.degree, digits)
         return 1 - root_hi, 1 - root_lo
 
-    # Both render the radicand before the enclosure, so that a radicand too
-    # long to print is refused before the enclosure's work.
     def to_obj(self) -> dict:
+        # The radicand is rendered before the enclosure, so that a radicand
+        # too long to print is refused before the enclosure's work.
         radicand = coord_str(self.radicand)
         lo, hi = self.enclosure()
         return {
@@ -137,9 +137,9 @@ class FractionalHellyBound(Frozen):
         }
 
     def __str__(self) -> str:
-        radicand = coord_str(self.radicand)
-        lo, hi = self.enclosure()
-        return f"1 - ({radicand})^(1/{self.degree}) in [{decimal_str(lo)}, {decimal_str(hi)}]"
+        obj = self.to_obj()
+        lo, hi = obj["enclosure"]
+        return f"1 - ({obj['radicand']})^(1/{self.degree}) in [{lo}, {hi}]"
 
 
 def fractional_helly_bound(d: int, params: AgreeParams) -> FractionalHellyBound:
@@ -177,6 +177,22 @@ def small_m_bound(n: int, params: AgreeParams) -> int:
     if n < m:
         raise ValueError(f"need n >= m, got n={n}, m={m}")
     return n - m + k
+
+
+def bound_values(params: AgreeParams, n: int | None = None, d: int | None = None) -> dict:
+    """The bounds for (k, m), n voters and dimension d, keyed and ordered as
+    ``agreeable bounds`` prints them.  The one place that decides which
+    bounds apply: one whose hypothesis fails maps to a note, a ``str``."""
+    k, m = params.k, params.m
+    div = division(params)
+    values: dict = {"k": k, "m": m, "q": div.q, "rho": div.rho, "proportion_bound": proportion_bound(params)}
+    if n is not None:
+        values["n"] = n
+        values["clique_bound"] = clique_bound(n, params)
+        values["small_m_bound"] = small_m_bound(n, params) if m <= 2 * k - 2 else f"needs m <= 2k-2 = {2 * k - 2}"
+    if d is not None:
+        values["fractional_helly"] = fractional_helly_bound(d, params) if m > d else f"needs m > d={d}"
+    return values
 
 
 class BoundEntry(Frozen):
@@ -253,34 +269,22 @@ def bound_sheet(
         agreeability = is_km_agreeable(society, params)
     vacuous = not agreeability.agreeable
 
-    entries: list[BoundEntry] = []
     is_box = isinstance(society.spectrum, BoxSpectrum)
+    values = bound_values(params, n, society.spectrum.dimension if is_box else None)
 
-    def verdict(ok: bool) -> bool | None:
-        return None if vacuous else ok
-
-    if not is_box:
-        cb = clique_bound(n, params)
-        entries.append(BoundEntry("clique", not vacuous, cb, verdict(a >= cb)))
-        pb = proportion_bound(params)
-        entries.append(BoundEntry("proportion", not vacuous, pb, verdict(proportion >= pb)))
+    # Each entry's table key, and whether the society meets that bound; the
+    # entry is named by the key less "_bound".
+    if is_box:
+        checks = {"fractional_helly": lambda fh: fh.satisfied_by(proportion), "small_m_bound": lambda sb: a >= sb}
     else:
-        d = society.spectrum.dimension
-        if params.m > d:
-            fh = fractional_helly_bound(d, params)
-            entries.append(
-                BoundEntry("fractional_helly", not vacuous, fh, verdict(fh.satisfied_by(proportion)))
-            )
+        checks = {"clique_bound": lambda cb: a >= cb, "proportion_bound": lambda pb: proportion >= pb}
+    entries = []
+    for key, check in checks.items():
+        name, value = key.removesuffix("_bound"), values[key]
+        if isinstance(value, str):
+            entries.append(BoundEntry(name, False, note=value))
         else:
-            entries.append(BoundEntry("fractional_helly", False, note=f"needs m > d={d}"))
-        if params.m <= 2 * params.k - 2:
-            sb = small_m_bound(n, params)
-            entries.append(BoundEntry("small_m", not vacuous, sb, verdict(a >= sb)))
-        else:
-            entries.append(
-                BoundEntry("small_m", False, note=f"needs m <= 2k-2 = {2 * params.k - 2}")
-            )
-
+            entries.append(BoundEntry(name, not vacuous, value, None if vacuous else check(value)))
     return BoundSheet(
         params=params,
         n=n,

@@ -115,33 +115,19 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     from .agreeability import AgreeParams
-    from .bounds import (
-        clique_bound,
-        coord_str,
-        division,
-        fractional_helly_bound,
-        proportion_bound,
-        small_m_bound,
-    )
+    from .bounds import FractionalHellyBound, bound_values, coord_str
 
-    params = AgreeParams(args.k, args.m)
-    obj: dict = {"k": args.k, "m": args.m}
-    div = division(params)
-    obj["q"] = div.q
-    obj["rho"] = div.rho
-    obj["proportion_bound"] = coord_str(proportion_bound(params))
-    if args.n is not None:
-        obj["n"] = args.n
-        obj["clique_bound"] = clique_bound(args.n, params)
-        if params.m <= 2 * params.k - 2:
-            obj["small_m_bound"] = small_m_bound(args.n, params)
-    if args.d is not None and args.m > args.d:
-        bound = fractional_helly_bound(args.d, params)
-        obj["fractional_helly"] = bound.to_obj() if args.format == "json" else str(bound)
+    def json_value(value):  # a Fraction or a FractionalHellyBound
+        return value.to_obj() if isinstance(value, FractionalHellyBound) else coord_str(value)
+
+    # A str is the note of a bound whose hypothesis fails: not printed.  A
+    # Fraction's str is its coord_str.
+    values = bound_values(AgreeParams(args.k, args.m), args.n, args.d)
+    values = {key: value for key, value in values.items() if not isinstance(value, str)}
     if args.format == "json":
-        print(json.dumps(obj, separators=(",", ":")))
+        print(json.dumps(values, separators=(",", ":"), default=json_value))
     else:
-        print("\n".join(f"{key}: {value}" for key, value in obj.items()))
+        print("\n".join(f"{key}: {value}" for key, value in values.items()))
     return 0
 
 

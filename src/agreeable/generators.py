@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .agreeability import AgreeParams
 from .bounds import division
 from .graphs import Graph
@@ -118,30 +118,23 @@ class RandomConfig(Frozen):
     __slots__ = (
         "coord_min", "coord_max", "min_length", "max_length", "empty_percent", "num_candidates", "dimension"
     )
+    _defaults = {
+        "coord_min": 0,
+        "coord_max": 12,
+        "min_length": 0,
+        "max_length": 8,
+        "empty_percent": 0,
+        "num_candidates": 6,
+        "dimension": 2,
+    }
 
-    def __init__(
-        self,
-        coord_min: int = 0,
-        coord_max: int = 12,
-        min_length: int = 0,
-        max_length: int = 8,
-        empty_percent: int = 0,
-        num_candidates: int = 6,
-        dimension: int = 2,
-    ):
-        if coord_min > coord_max:
+    def _check(self) -> None:
+        if self.coord_min > self.coord_max:
             raise ValueError("coord_min > coord_max")
-        if not (0 <= min_length <= max_length):
+        if not (0 <= self.min_length <= self.max_length):
             raise ValueError("need 0 <= min_length <= max_length")
-        if not (0 <= empty_percent <= 100):
+        if not (0 <= self.empty_percent <= 100):
             raise ValueError("empty_percent out of range")
-        set_field(self, "coord_min", coord_min)
-        set_field(self, "coord_max", coord_max)
-        set_field(self, "min_length", min_length)
-        set_field(self, "max_length", max_length)
-        set_field(self, "empty_percent", empty_percent)
-        set_field(self, "num_candidates", num_candidates)
-        set_field(self, "dimension", dimension)
 
 
 def random_society(kind: str, n: int, seed: int, config: RandomConfig = RandomConfig()) -> Society:

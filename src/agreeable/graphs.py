@@ -34,24 +34,22 @@ class Graph(Frozen):
 
     __slots__ = ("vertices", "edges", "__dict__")
 
-    def __init__(self, vertices: tuple[str, ...], edges: frozenset[tuple[str, str]]):
-        index = {v: i for i, v in enumerate(vertices)}
-        if len(index) != len(vertices):
+    def _check(self) -> None:
+        index = self._index
+        if len(index) != len(self.vertices):
             raise ValueError("duplicate vertices")
-        for u, v in edges:
+        for u, v in self.edges:
             if u == v:
                 raise ValueError(f"loop at {u}")
             if u not in index or v not in index:
                 raise ValueError(f"edge ({u}, {v}) uses unknown vertices")
             if index[u] > index[v]:
                 raise ValueError(f"edge ({u}, {v}) not in vertex order")
-        set_field(self, "vertices", vertices)
-        set_field(self, "edges", edges)
 
     @classmethod
     def _trusted(cls, vertices: tuple[str, ...], edges: frozenset[tuple[str, str]]) -> "Graph":
         """A Graph whose edges its builder made normalized, on distinct
-        vertices, so that the per-edge checks of ``__init__`` are skipped."""
+        vertices, so that the per-edge checks of ``_check`` are skipped."""
         graph = object.__new__(cls)
         set_field(graph, "vertices", vertices)
         set_field(graph, "edges", edges)

@@ -52,9 +52,10 @@ def as_coord(value: Union[int, str, Fraction, Decimal]) -> Coord:
     """Convert an exact numeric representation to a coordinate.
 
     Accepts ints, Fractions, Decimals and strings such as ``"3/4"`` or
-    ``"-1.25"``; a whole number comes back as a plain ``int``.  Floats are
-    rejected: binary floats do not round-trip the decimal literals they came
-    from, and exactness is a hard requirement.
+    ``"-1.25"``, read as the loader reads a string token (its digit cap,
+    its :class:`SocietyFormatError`); a whole number comes back as a plain
+    ``int``.  Floats are rejected: binary floats do not round-trip the
+    decimal literals they came from, and exactness is a hard requirement.
     """
     if type(value) is int:
         return value
@@ -64,10 +65,8 @@ def as_coord(value: Union[int, str, Fraction, Decimal]) -> Coord:
         raise TypeError(f"coordinates must be exact, got {value!r}")
     if isinstance(value, int):
         return int(value)
-    if isinstance(value, Decimal):
-        return _integral(Fraction(value))
-    if isinstance(value, str):
-        return _integral(_fraction(value))
+    if isinstance(value, (str, Decimal)):
+        return _coord_from_string(str(value))
     raise TypeError(f"cannot interpret {value!r} as a coordinate")
 
 

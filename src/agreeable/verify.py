@@ -366,15 +366,14 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
                 lambda: f"{tag} k={params.k} m={params.m} a={report.agreement_number}",
                 art,
             )
-            if n >= d + 1:
-                g = good_set_count(society)
-                bound = good_set_lower_bound(n, d, params.k, params.m)
-                rec.check(
-                    "good-set-counting-inequality",
-                    Fraction(g) >= bound,
-                    lambda: f"{tag} k={params.k} m={params.m} g={g} bound={bound}",
-                    art,
-                )
+            g = good_set_count(society)
+            bound = good_set_lower_bound(n, d, params.k, params.m)
+            rec.check(
+                "good-set-counting-inequality",
+                Fraction(g) >= bound,
+                lambda: f"{tag} k={params.k} m={params.m} g={g} bound={bound}",
+                art,
+            )
             if small_m.applicable:
                 rec.check(
                     "small-m-bound-on-boxes",

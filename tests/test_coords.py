@@ -3,6 +3,7 @@ Fraction, and the two representations of a whole number give the same
 answers everywhere."""
 
 import json
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from agreeable import (
 )
 from agreeable.agreeability import platform_masks
 from agreeable.oracles import brute_line_agreement
-from agreeable.society import LineSpectrum, _exact_decimal, _fraction, as_coord
+from agreeable.society import LineSpectrum, SocietyFormatError, _exact_decimal, _fraction, as_coord
 from agreeable.verify import _farey_image
 
 from strategies import crowded_line_societies, pooled_societies
@@ -227,3 +228,38 @@ def test_fraction_parsing_edge_cases():
     cases = ("1/0", "-0/5", "007/010", "-/2", "1/", "/2", "1/2/3", "+1/2", "1/-2", "١/٢", "²/3", "1_0/2")
     for text in cases + (f"-{too_long}/3", f"3/{too_long}"):
         assert _outcome(_fraction, text) == _outcome(Fraction, text), text
+
+
+# ---------------------------------------------------------------------------
+# as_coord reads a string or a Decimal by the loader's rule
+# ---------------------------------------------------------------------------
+
+
+def _loaded(text: str):
+    """The coordinate the JSON loader reads from the string token ``text``."""
+    doc = json.dumps({"spectrum": "line", "voters": [{"id": "a", "interval": [text, text]}]})
+    return loads_society(doc).voters[0].approval.lo
+
+
+COORD_STRINGS = ("1e4299", "1e4301", Decimal("1E+5000"), "NaN", Decimal("NaN"), "abc", "3/4")
+
+
+@pytest.mark.parametrize("value", COORD_STRINGS, ids=repr)
+def test_as_coord_accepts_and_refuses_as_the_loader(value, default_int_digit_limit):
+    assert _outcome(as_coord, value) == _outcome(_loaded, str(value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=fraction_texts)
+def test_as_coord_reads_strings_as_the_loader(text):
+    assert _outcome(as_coord, text) == _outcome(_loaded, text)
+
+
+def test_as_coord_refuses_a_long_exponent_at_once(default_int_digit_limit):
+    # Expanding 1e2000000 would build a two-million-digit int (about a
+    # second); the digit cap refuses it from the exponent alone.
+    start = time.perf_counter()
+    for value in ("1e2000000", Decimal("1e2000000")):
+        with pytest.raises(SocietyFormatError, match="expands to more than 4300 digits"):
+            as_coord(value)
+    assert time.perf_counter() - start < 0.1
