@@ -15,7 +15,7 @@ import random
 
 from ._frozen import Frozen
 from .agreeability import AgreeParams
-from .bounds import division
+from .bounds import division, small_m_bound
 from .graphs import Graph
 from .society import (
     Box,
@@ -59,17 +59,11 @@ def clique_plus_isolated(n: int, params: AgreeParams) -> Society:
     """n - m + k identical intervals plus m - k isolated ones.
 
     Realizes equality in the small-m bound (agreement number exactly
-    n - m + k); only defined in its applicability regime m <= 2k-2.
+    n - m + k).  :func:`small_m_bound` sizes the clique and gives the
+    refusals, so only its applicability regime m <= 2k-2 is defined.
     """
-    k, m = params.k, params.m
-    if k < 2:
-        raise ValueError("requires k >= 2")
-    if m > 2 * k - 2:
-        raise ValueError(f"requires m <= 2k-2, got m={m}, k={k}")
-    if n < m:
-        raise ValueError(f"need n >= m, got n={n}, m={m}")
-    intervals = [make_interval(0, 1)] * (n - m + k)
-    intervals += [_unit_interval(1 + t) for t in range(m - k)]
+    intervals = [make_interval(0, 1)] * small_m_bound(n, params)
+    intervals += [_unit_interval(1 + t) for t in range(params.m - params.k)]
     return linear_society(intervals)
 
 

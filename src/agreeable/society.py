@@ -32,7 +32,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii  # json.dumps's escaper, in C
-from typing import IO, Iterator, Union
+from typing import IO, Union
 
 from ._frozen import Frozen
 from .errors import CapExceededError
@@ -217,15 +217,34 @@ class Society(Frozen):
 
         Intervals, candidate runs and boxes have Helly number 2, so these
         are the maximal voter sets that share a platform; voters approving
-        nothing are in none.  Raises ValueError for a malformed society and
-        CapExceededError past the box caps.
+        nothing are in none.  One :func:`_interval_cliques` sweep of
+        :attr:`_spans`; for boxes with d >= 2, each clique so far is split by
+        the next axis's sweep restricted to its voters.  A maximal clique
+        shares a point p, so it lies in the first-axis clique holding p's
+        first coordinate, then in a next-axis clique inside that one, and so
+        on; every candidate is a clique, so the maximal cliques are the
+        candidates no other contains.  Up to n^(d-1) restricted sweeps, then
+        a filter quadratic in the candidates, both bounded by the box voter
+        cap.  Raises ValueError for a malformed society and CapExceededError
+        past the box caps.
         """
         require_valid(self)
+        d = self.spectrum.dimension if isinstance(self.spectrum, BoxSpectrum) else 1
         if isinstance(self.spectrum, BoxSpectrum):
             _require_box_caps(self)
-        wide = isinstance(self.spectrum, BoxSpectrum) and self.spectrum.dimension >= 2
-        cliques = _box_cliques(self) if wide else _interval_cliques(*self._spans)
-        return tuple(sorted(cliques, key=lambda m: (-m.bit_count(), m)))
+        cliques = _interval_cliques(*self._spans)
+        for axis in range(1, d):
+            los, his = _key_spans([None if v.approval is None else v.approval.sides[axis] for v in self.voters])
+            cliques = {
+                part
+                for clique in cliques
+                for part in _interval_cliques([lo if clique >> i & 1 else None for i, lo in enumerate(los)], his)
+            }
+        maximal: list[int] = []
+        for clique in sorted(cliques, key=lambda m: (-m.bit_count(), m)):  # a superset comes first
+            if d == 1 or all(clique & kept != clique for kept in maximal):
+                maximal.append(clique)
+        return tuple(maximal)
 
     @cached_property
     def _spans(self) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
@@ -249,12 +268,8 @@ class Society(Frozen):
         if isinstance(spec, CandidateSpectrum):
             return _slate_spans([v.approval for v in self.voters], spec.candidates)
         if isinstance(spec, BoxSpectrum):
-            sides = [None if v.approval is None else v.approval.sides[0] for v in self.voters]
-        else:
-            sides = [v.approval for v in self.voters]
-        ends = [None if iv is None else iv.lo for iv in sides] + [None if iv is None else iv.hi for iv in sides]
-        keys = tuple(_order_keys(ends))
-        return keys[: len(sides)], keys[len(sides) :]
+            return _key_spans([None if v.approval is None else v.approval.sides[0] for v in self.voters])
+        return _key_spans([v.approval for v in self.voters])
 
     def voter_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.voters)
@@ -375,6 +390,14 @@ def _order_keys(values: list[Coord | None]) -> list[int | None]:
     return [None if x is None else (x.numerator << shift) // x.denominator for x in values]
 
 
+def _key_spans(sides: list[Interval | None]) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
+    """The :func:`_order_keys` of the ends of each interval, as two parallel
+    tuples ``(lo, hi)``; None in both for None."""
+    ends = [None if iv is None else iv.lo for iv in sides] + [None if iv is None else iv.hi for iv in sides]
+    keys = tuple(_order_keys(ends))
+    return keys[: len(sides)], keys[len(sides) :]
+
+
 def _candidate_range(interval: Interval | None, candidates: tuple[Coord, ...]) -> tuple[int, int] | None:
     """Indices ``(i, j)`` of the first and the last sorted candidate inside a
     closed interval.
@@ -409,22 +432,6 @@ def _require_box_caps(society: Society) -> None:
         )
 
 
-def _meeting_runs(society: Society) -> Iterator[tuple[int, list[int]]]:
-    """Each voter with a span, by left span end, with the later voters in
-    that order whose approval sets meet its own: a contiguous run of spans
-    starting at most at its right end, filtered by the other sides for
-    boxes with d >= 2.  O(n log n + R d) for R first-axis pairs."""
-    los, his = society._spans
-    order = sorted([i for i, lo in enumerate(los) if lo is not None], key=los.__getitem__)
-    starts = [los[i] for i in order]
-    runs = [order[p + 1 : bisect_right(starts, his[i], p + 1)] for p, i in enumerate(order)]
-    for axis in range(1, society.spectrum.dimension if isinstance(society.spectrum, BoxSpectrum) else 1):
-        lo = [None if v.approval is None else v.approval.sides[axis].lo for v in society.voters]
-        hi = [None if v.approval is None else v.approval.sides[axis].hi for v in society.voters]
-        runs = [[j for j in run if lo[j] <= hi[i] and lo[i] <= hi[j]] for i, run in zip(order, runs)]
-    return zip(order, runs)
-
-
 def _interval_cliques(los, his) -> list[int]:
     """The maximal cliques of spans, by one pass over the P distinct left ends.
 
@@ -444,39 +451,6 @@ def _interval_cliques(los, his) -> list[int]:
             diff[last + 1] ^= 1 << i
             maximal[last] = 1
     return list(itertools.compress(itertools.accumulate(diff, operator.xor), maximal))
-
-
-def _box_cliques(society: Society) -> list[int]:
-    """The maximal cliques of a box agreement graph: Bron--Kerbosch with
-    Tomita pivoting on neighbour bitmasks (Bron & Kerbosch 1973; Tomita,
-    Tanaka & Takahashi 2006)."""
-    adjacent = [0] * society.n
-    for i, run in _meeting_runs(society):
-        for j in run:
-            adjacent[i] |= 1 << j
-            adjacent[j] |= 1 << i
-    cliques: list[int] = []
-
-    def expand(clique: int, candidates: int, excluded: int) -> None:
-        if not candidates:
-            if clique and not excluded:  # clique 0: no voter approves anything
-                cliques.append(clique)
-            return
-        pivot = max(_bits(candidates | excluded), key=lambda u: (candidates & adjacent[u]).bit_count())
-        for v in _bits(candidates & ~adjacent[pivot]):
-            expand(clique | 1 << v, candidates & adjacent[v], excluded & adjacent[v])
-            candidates ^= 1 << v
-            excluded |= 1 << v
-
-    expand(0, sum(1 << i for i, v in enumerate(society.voters) if v.approval is not None), 0)
-    return cliques
-
-
-def _bits(mask: int):
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
 
 
 def approved_candidates(interval: Interval | None, spectrum: CandidateSpectrum) -> tuple[Coord, ...]:

@@ -28,7 +28,7 @@ from typing import Callable
 from ._frozen import Frozen
 from .agreeability import AgreeParams, is_km_agreeable, platform_masks
 from .agreement import agreement, common_platform, good_set_count, good_set_lower_bound, two_platform_cover
-from .bounds import bound_sheet, clique_bound, division
+from .bounds import bound_sheet, bound_values, clique_bound
 from .generators import (
     RandomConfig,
     clique_plus_isolated,
@@ -438,17 +438,17 @@ def run_graph_suite(trials: int, seed: int, failure_dir: str | None = None) -> l
                 continue
             if not every_m_subset_has_k_clique(graph, params):
                 continue
-            div = division(params)
+            bounds = bound_values(params, n)
             rec.check(
                 "clique-hypothesis-implies-chi-bound",
-                Fraction(chi) >= Fraction(n - div.rho, div.q),
+                chi >= bounds["clique_bound"],
                 lambda: f"{tag} k={params.k} m={params.m} chi={chi}",
                 art,
             )
-            if params.m <= 2 * params.k - 2:
+            if isinstance(bounds["small_m_bound"], int):
                 rec.check(
                     "clique-hypothesis-implies-small-m-omega",
-                    omega >= n - params.m + params.k,
+                    omega >= bounds["small_m_bound"],
                     lambda: f"{tag} k={params.k} m={params.m} omega={omega}",
                     art,
                 )

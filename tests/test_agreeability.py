@@ -10,6 +10,7 @@ from agreeable import (
     CapExceededError,
     RandomConfig,
     agreement,
+    box_society,
     is_km_agreeable,
     linear_society,
     pigeonhole_sufficient,
@@ -218,6 +219,14 @@ def test_agreeability_matches_subset_enumeration_all_kinds():
 @settings(max_examples=300, deadline=None)
 def test_platform_masks_match_brute_force(society):
     assert platform_masks(society) == brute_platform_masks(society)
+
+
+def test_box_masks_drop_a_clique_inside_another():
+    # The first-axis cliques are {v1, v3} and {v2, v3}; on the second axis v2
+    # and v3 are apart, which splits the latter into {v2} and {v3}, and {v3}
+    # lies inside {v1, v3}.
+    society = box_society([((4, 5), (5, 6)), ((6, 8), (3, 4)), ((5, 7), (5, 8))])
+    assert platform_masks(society) == [0b101, 0b010] == brute_platform_masks(society)
 
 
 @given(pooled_societies(), st.data())

@@ -120,6 +120,11 @@ def test_generate_clique_isolated_analyzes_to_nine(monkeypatch, capsys):
     assert "agreement number: 9" in out
 
 
+def test_generate_clique_isolated_refuses_as_the_small_m_bound(capsys):
+    code, out, err = run_cli(["generate", "clique-isolated", "--n", "10", "--k", "3", "--m", "5"], capsys=capsys)
+    assert (code, out, err) == (2, "", "error: bound inapplicable: m=5 > 2k-2=4\n")
+
+
 def test_generate_five_cycle(tmp_path, capsys):
     out_path = tmp_path / "ring.json"
     code, _, _ = run_cli(["generate", "five-cycle-boxes", "--out", str(out_path)], capsys=capsys)

@@ -5,8 +5,8 @@ societies among it), the written text of a 24 000-voter ``p/q`` line
 society, ``verify --format json`` reports,
 ``analyze --format json`` and ``check --format json`` reports (with their
 bound sheets and lexicographically-first agreeability witnesses, on line,
-candidate and box societies, on a 6 000-voter line and a dense 30-voter
-3-box society, and on a 20 000-voter line document mixing int, ``p/q`` and
+candidate and box societies, on a 6 000-voter line and dense 30-voter
+2-box and 3-box societies, and on a 20 000-voter line document mixing int, ``p/q`` and
 decimal tokens), ``bounds --format json`` and the library tour
 on a slate (restriction, tally, agreement graph, first-fit coloring), and
 the agreement graphs of 2-box and 3-box societies, one of them on p/q
@@ -140,6 +140,19 @@ DENSE_BOXES = (
 DENSE_BOX_RUNS = {
     "check-dense-box3-witness": ["check", "--k", "4", "--m", "5", "--format", "json"],
     "analyze-dense-box3-witness": ["analyze", "--k", "4", "--m", "5", "--format", "json"],
+}
+
+# A generated 30-voter 2-box society at the box voter cap: agreement number 9,
+# 18 maximal cliques; (3, 6) has a witness, (3, 25) is agreeable only after a
+# search.
+DENSE_BOX2 = [
+    "generate", "random", "--kind", "box", "--n", "30", "--seed", "3", "--d", "2", "--coord-max", "20",
+    "--min-length", "2", "--max-length", "14", "--empty-percent", "10",
+]
+DENSE_BOX2_RUNS = {
+    f"{command}-dense-box2-{verdict}": [command, "--k", "3", "--m", m, "--format", "json"]
+    for command in ("check", "analyze")
+    for verdict, m in (("witness", "6"), ("agreeable", "25"))
 }
 
 BOUNDS = {"bounds": ["bounds", "--k", "4", "--m", "15", "--n", "21", "--d", "2", "--format", "json"]}
@@ -286,6 +299,10 @@ GOLDEN = {
     "check-line-6000-k2": "0a3ab8f525dc784ad6a7c296fa52227db26dc586ade2a6f351b774dc7195c7be",
     "analyze-dense-box3-witness": "8d5f751e5e3fa1abc73c81fc105f182618b2fc0b80a437ea5cb5e66428790ead",
     "check-dense-box3-witness": "573f0e0d7877add9ffb20ff1ca4668e22c814af15ebebdf9546323bf656c65ea",
+    "check-dense-box2-witness": "b9f86875c7382e10fa6ba32f818d2c6f336bf39f0df7ca3979ca7bac74ac6682",
+    "analyze-dense-box2-witness": "9878e993c935ed3d801595352d28cb1b79976748c58446317f70d6704b573855",
+    "check-dense-box2-agreeable": "d129a1b1d5afc6c2849385eae89d7908076053494a610ab81c712df3dcfc4388",
+    "analyze-dense-box2-agreeable": "94484fde617eae8e7881a17d74165de71b13042f5192a9e2a29b4af16e4f87e1",
     "bounds": "3fe994008e44ce634c0a5bb524165b2983b3c4107aa0a2c50566b42e6aa9a084",
     "box-graph-2": "fb29df8fb97a0e13aa5313f92a5c5347c61db9b20f7ecca590a059321dc5b76e",
     "box-graph-3": "bfda762c9cb2e01781e92638b801766adae8728b36bf748b22e7eb102c9c4fc2",
@@ -365,6 +382,14 @@ def test_dense_box_digest(name, capsys, tmp_path):
     path = tmp_path / "society.json"
     path.write_text(dumps_society(box_society(DENSE_BOXES)), encoding="utf-8")
     out = _run([DENSE_BOX_RUNS[name][0], str(path), *DENSE_BOX_RUNS[name][1:]], capsys)
+    assert _digest(out) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_BOX2_RUNS))
+def test_dense_box2_digest(name, capsys, tmp_path):
+    path = tmp_path / "society.json"
+    path.write_bytes(_run(DENSE_BOX2, capsys))
+    out = _run([DENSE_BOX2_RUNS[name][0], str(path), *DENSE_BOX2_RUNS[name][1:]], capsys)
     assert _digest(out) == GOLDEN[name]
 
 
