@@ -25,18 +25,27 @@ nodes x M big-int operations.
 A voter with an empty approval set appears in no platform mask: it can
 never be among the k agreeing voters, and (1,m)-agreeability requires a
 voter with a non-empty approval set in every m-subset.
+
+On a line or a slate, a largest deficient set is a maximum
+(k-1)-colorable subgraph of the interval graph, which a greedy pass over
+the spans by right end finds in O(n log n + n k) (Yannakakis & Gavril 1987;
+Carlisle & Lloyd 1995).  When it has fewer than m voters the society is
+agreeable and no search runs.  The search still decides every other case:
+it alone gives the lexicographically first witness, and boxes with d >= 2
+have no such greedy.  Either way the C(n, m) cap is applied first.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from functools import reduce
 from operator import or_
 
 from ._frozen import Frozen
 from .errors import CapExceededError
-from .society import Society, require_valid
+from .society import BoxSpectrum, Society, require_valid
 
 # Upper bound on C(n, m) for an exact check; override with the
 # AGREE_MAX_SUBSETS environment variable.
@@ -96,14 +105,54 @@ def platform_masks(society: Society) -> list[int]:
 def is_km_agreeable(
     society: Society, params: AgreeParams, cap: int | None = None
 ) -> AgreeabilityResult:
-    """Decide (k,m)-agreeability, with a deterministic failure witness."""
+    """Decide (k,m)-agreeability, with a deterministic failure witness.
+
+    A line or slate society whose largest deficient set
+    (:func:`_largest_deficient_size`) has fewer than m voters is agreeable
+    without a search; otherwise, and for boxes, the subset search decides
+    and finds the witness.
+    """
     require_valid(society)
     n = society.n
-    k, m = params.k, params.m
-    if n < m:
-        raise ValueError(f"society has {n} voters but m={m}")
-    cap = _require_subset_cap(n, m, cap)
+    if n < params.m:
+        raise ValueError(f"society has {n} voters but m={params.m}")
+    cap = _require_subset_cap(n, params.m, cap)
+    if not isinstance(society.spectrum, BoxSpectrum) and _largest_deficient_size(society, params.k) < params.m:
+        return AgreeabilityResult(True, params)
+    return _subset_search(society, params, cap)
 
+
+def _largest_deficient_size(society: Society, k: int) -> int:
+    """The voter count of a largest deficient set of a line or slate society.
+
+    A set of spans is deficient iff no point lies in k of them, that is iff
+    it splits into k-1 tracks of pairwise disjoint spans: the largest one is
+    a maximum (k-1)-colorable subgraph of the interval graph.  The track
+    greedy finds one: take the spans by right end, put each on the track
+    whose last right end is the latest one strictly below its left end, or
+    open a track while fewer than k-1 exist, else leave it out.  Voters with
+    no span join every deficient set.  O(n log n + n k).
+    """
+    los, his = society._spans
+    ends: list[int] = []  # the last right end of each track, ascending
+    size = 0
+    for hi, lo in sorted([(hi, lo) for lo, hi in zip(los, his) if lo is not None]):
+        track = bisect_left(ends, lo)  # ends[:track] lie strictly below lo
+        if track:
+            del ends[track - 1]
+        elif len(ends) == k - 1:
+            continue
+        ends.append(hi)  # no end so far exceeds hi, so ends stay sorted
+        size += 1
+    return size + his.count(None)
+
+
+def _subset_search(society: Society, params: AgreeParams, cap: int) -> AgreeabilityResult:
+    """The depth-first search of the module docstring, on a valid society
+    with at least m voters; raises CapExceededError past ``cap`` times the
+    node budget factor nodes."""
+    n = society.n
+    k, m = params.k, params.m
     masks = platform_masks(society)
     full = (1 << n) - 1
     # Voters in no mask approve no platform at all (empty approval set, or

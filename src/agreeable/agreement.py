@@ -16,8 +16,8 @@ last approved candidate index (bisected once per society, or handed over by
 candidates.  Box depth is the size of the largest of the society's cached
 maximal cliques, capped at 30 voters and 3 dimensions.  Those come from the
 line's one-pass clique sweep, run axis by axis on the voters of each clique
-so far: up to n^(d-1) restricted sweeps, then a filter quadratic in the
-candidates, both bounded by the 30-voter cap.
+so far: up to n^(d-1) restricted sweeps, then a maximality test of O(n d)
+per candidate, both bounded by the 30-voter cap.
 
 Closed-interval semantics enter the computation in two places: the line
 sweep counts, at a left end, only the right ends strictly below it, so

@@ -9,9 +9,12 @@ Both read the society's integer span view, ``Society._spans`` (per voter,
 the indices of the first and last approved candidate on a slate, else the
 exact order keys of the ends of the interval or of a box's first side), and
 run on sorted ints: the graph in O(n log n + E) for E edges, the coloring in
-O(n log n).  For boxes with d >= 2 the graph filters the R pairs that meet on
-the first axis, O(n log n + R d), and the coloring refuses them.  Edges are
-normalized as they are built, so the Graph is made without re-checking them.
+O(n log n), two sorts and one pointer.  For boxes with d >= 2 the graph
+filters the R pairs that meet on the first axis, O(n log n + R d), and the
+coloring refuses them.  Edges are normalized as they are built, so the Graph
+is made without re-checking them.  An election from
+``restrict_to_candidates`` arrives with its span view and its validation, so
+neither is computed again here.
 """
 
 from __future__ import annotations
@@ -170,8 +173,9 @@ def greedy_interval_coloring(society: Society) -> Coloring:
     Processing by increasing right endpoint does not have this property
     and can exceed omega.
 
-    The neighbors are tracked with a max-heap on left endpoints and the
-    free colors with a min-heap, so the whole pass is O(n log n).
+    Colored spans are retired by one pointer over the spans sorted by
+    decreasing left end, and the free colors kept in a min-heap, so the
+    whole pass is O(n log n).
     """
     require_valid(society)
     _require_interval_view(society)
@@ -180,26 +184,30 @@ def greedy_interval_coloring(society: Society) -> Coloring:
     assignment = dict.fromkeys([vid for vid, hi in zip(ids, his) if hi is None], 1)
     # sorted() is stable, with reverse=True too: equal right ends keep society order.
     order = sorted([i for i, hi in enumerate(his) if hi is not None], key=his.__getitem__, reverse=True)
+    by_lo = sorted(order, key=los.__getitem__, reverse=True)
 
-    # Right ends only decrease from here on, so a colored span whose left end
-    # lies above the current one's right end meets no later voter either: it
-    # leaves ``active`` for good and frees its color.  The active spans all
-    # contain the current right end, hold distinct colors, and are exactly
-    # the current voter's colored neighbors.
-    active: list[tuple[int, int]] = []  # (-lo, color): a max-heap on lo
+    # A span whose left end lies above the current right end has a larger
+    # right end, so it is already colored; right ends only decrease from
+    # here on, so it meets no later voter either and frees its color for
+    # good.  The colored spans not yet retired all contain the current right
+    # end, hold distinct colors, and are exactly the current voter's colored
+    # neighbors.  The current span is never retired (its left end is at most
+    # its right end), so the pointer stops before it.
+    color_of = [0] * len(his)
     free: list[int] = []
-    used = 0
+    retired = used = 0
     for i in order:
         hi = his[i]
-        while active and -active[0][0] > hi:
-            heapq.heappush(free, heapq.heappop(active)[1])
+        while los[by_lo[retired]] > hi:
+            heapq.heappush(free, color_of[by_lo[retired]])
+            retired += 1
         if free:
             color = heapq.heappop(free)
         else:
             used += 1
             color = used
+        color_of[i] = color
         assignment[ids[i]] = color
-        heapq.heappush(active, (-los[i], color))
     return Coloring(assignment)
 
 

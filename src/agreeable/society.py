@@ -223,26 +223,49 @@ class Society(Frozen):
         shares a point p, so it lies in the first-axis clique holding p's
         first coordinate, then in a next-axis clique inside that one, and so
         on; every candidate is a clique, so the maximal cliques are the
-        candidates no other contains.  Up to n^(d-1) restricted sweeps, then
-        a filter quadratic in the candidates, both bounded by the box voter
-        cap.  Raises ValueError for a malformed society and CapExceededError
-        past the box caps.
+        candidates that no voter outside meets in their intersection box.
+        Up to n^(d-1) restricted sweeps, then that test, O(n d) per
+        candidate, both bounded by the box voter cap.  Raises ValueError for
+        a malformed society and CapExceededError past the box caps.
         """
         require_valid(self)
         d = self.spectrum.dimension if isinstance(self.spectrum, BoxSpectrum) else 1
         if isinstance(self.spectrum, BoxSpectrum):
             _require_box_caps(self)
+        axes = [self._spans]
         cliques = _interval_cliques(*self._spans)
         for axis in range(1, d):
             los, his = _key_spans([None if v.approval is None else v.approval.sides[axis] for v in self.voters])
+            axes.append((los, his))
             cliques = {
                 part
                 for clique in cliques
                 for part in _interval_cliques([lo if clique >> i & 1 else None for i, lo in enumerate(los)], his)
             }
+        cliques = sorted(cliques, key=lambda m: (-m.bit_count(), m))
+        if d == 1:
+            return tuple(cliques)
+        # Helly number 2: a clique is maximal iff no voter outside it meets
+        # its intersection box.  On each axis, the voters whose side starts
+        # at or below the box's top are a prefix of the voters by lower key,
+        # and those whose side ends at or above its bottom a suffix of the
+        # voters by upper key: one mask each, looked up by bisection.
+        tests = []
+        for los, his in axes:
+            by_lo = sorted((lo, i) for i, lo in enumerate(los) if lo is not None)
+            by_hi = sorted((hi, i) for i, hi in enumerate(his) if hi is not None)
+            starts = list(itertools.accumulate([1 << i for _, i in by_lo], operator.or_, initial=0))
+            ends = list(itertools.accumulate([1 << i for _, i in reversed(by_hi)], operator.or_, initial=0))
+            tests.append((los, his, [lo for lo, _ in by_lo], starts, [hi for hi, _ in by_hi], ends[::-1]))
+        voters = range(self.n)
         maximal: list[int] = []
-        for clique in sorted(cliques, key=lambda m: (-m.bit_count(), m)):  # a superset comes first
-            if d == 1 or all(clique & kept != clique for kept in maximal):
+        for clique in cliques:
+            inside = [i for i in voters if clique >> i & 1]
+            meets = -1  # the voters meeting the box on every axis so far
+            for los, his, lo_keys, starts, hi_keys, ends in tests:
+                top, bottom = min(map(his.__getitem__, inside)), max(map(los.__getitem__, inside))
+                meets &= starts[bisect_right(lo_keys, top)] & ends[bisect_left(hi_keys, bottom)]
+            if meets == clique:
                 maximal.append(clique)
         return tuple(maximal)
 
@@ -465,10 +488,16 @@ def restrict_to_candidates(society: Society, candidates) -> Society:
     Each approval set becomes the candidates inside the voter's interval,
     stored as the minimal closed interval spanning them (its endpoints are
     candidates, so candidate membership is unchanged).  Voters approving no
-    candidate are kept, with empty approval.  O(c log c + n log c).  Each
-    voter is bisected into the slate once: the election receives those
-    spans as its :attr:`Society._spans`, and voters with equal spans share
-    one hull.  Raises :func:`require_valid`'s ValueError for a voter that
+    candidate are kept, with empty approval.  O(c log c + n log c), in one
+    pass over the voters: each is bisected into the slate once, voters with
+    equal spans share one hull, and the election receives those spans as
+    its :attr:`Society._spans`.
+
+    It also receives the source's :attr:`Society.violations`, so no reader
+    validates it again.  They are its own: every hull is a lo <= hi interval
+    of a sorted, non-empty slate, and the ids are the source's in the same
+    order, so only the source's duplicate-id and no-voter findings can
+    remain.  Raises :func:`require_valid`'s ValueError for a voter that
     approves a box or an interval with lo > hi.
     """
     if not isinstance(society.spectrum, LineSpectrum):
@@ -477,14 +506,31 @@ def restrict_to_candidates(society: Society, candidates) -> Society:
     if not cs:
         raise ValueError("candidate slate is empty")
 
-    for v in society.voters:  # an approval no slate can restrict; duplicate ids are left to the election
-        if v.approval is not None and not (isinstance(v.approval, Interval) and v.approval.lo <= v.approval.hi):
+    los: list[int | None] = []
+    his: list[int | None] = []
+    voters = []
+    hulls: dict[tuple[int, int], Interval] = {}
+    for v in society.voters:
+        a = v.approval
+        if a is None:
+            lo = hi = hull = None
+        elif isinstance(a, Interval) and a.lo <= a.hi:  # _candidate_range's bisections, inline
+            lo = bisect_left(cs, a.lo)
+            hi = bisect_right(cs, a.hi, lo) - 1
+            if lo > hi:
+                lo = hi = hull = None
+            else:
+                hull = hulls.get((lo, hi))
+                if hull is None:
+                    hull = hulls[lo, hi] = Interval(cs[lo], cs[hi])
+        else:  # an approval no slate can restrict
             require_valid(society)
-    spans = _slate_spans([v.approval for v in society.voters], cs)
-    hulls = {(lo, hi): Interval(cs[lo], cs[hi]) for lo, hi in set(zip(*spans)) if lo is not None}
-    voters = tuple(Voter(v.id, hulls.get(span)) for v, span in zip(society.voters, zip(*spans)))
-    election = Society(CandidateSpectrum(cs), voters)
-    election.__dict__["_spans"] = spans
+        los.append(lo)
+        his.append(hi)
+        voters.append(Voter(v.id, hull))
+    election = Society(CandidateSpectrum(cs), tuple(voters))
+    election.__dict__["_spans"] = (tuple(los), tuple(his))
+    election.__dict__["violations"] = society.violations
     return election
 
 

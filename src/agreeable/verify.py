@@ -26,7 +26,14 @@ from pathlib import Path
 from typing import Callable
 
 from ._frozen import Frozen
-from .agreeability import AgreeParams, is_km_agreeable, platform_masks
+from .agreeability import (
+    AgreeParams,
+    _largest_deficient_size,
+    _subset_search,
+    is_km_agreeable,
+    platform_masks,
+    subset_cap,
+)
 from .agreement import agreement, common_platform, good_set_count, good_set_lower_bound, two_platform_cover
 from .bounds import bound_sheet, bound_values, clique_bound
 from .generators import (
@@ -210,15 +217,19 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
         for params in _km_pairs(pair_rng, n):
             if n < params.m:
                 continue
-            result = is_km_agreeable(society, params)
-            if not result.agreeable:
+            # The track greedy's verdict and the subset search's: either one
+            # positive runs the check, which fails unless they agree.
+            greedy = _largest_deficient_size(society, params.k) < params.m
+            result = _subset_search(society, params, subset_cap())
+            if not (greedy or result.agreeable):
                 continue
             clique, proportion = bound_sheet(society, params, agreeability=result, report=report).entries
             cb, pb = clique.value, proportion.value
             rec.check(
                 "agreeable-societies-meet-linear-bounds",
-                clique.satisfied and proportion.satisfied,
-                lambda: f"{tag} k={params.k} m={params.m} a={report.agreement_number} cb={cb}",
+                greedy == result.agreeable and clique.satisfied and proportion.satisfied,
+                lambda: f"{tag} k={params.k} m={params.m} a={report.agreement_number} cb={cb}"
+                f" greedy={greedy} search={result.agreeable}",
                 art,
             )
             rec.check(
@@ -281,7 +292,8 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
         ok = (
             not validate(society)
             and a == cb
-            and is_km_agreeable(society, params).agreeable
+            and _largest_deficient_size(society, params.k) < params.m
+            and _subset_search(society, params, subset_cap()).agreeable
         )
         rec.check("extremal-construction-tight", ok, lambda: f"n={n} k={params.k} m={params.m} a={a} cb={cb}")
 

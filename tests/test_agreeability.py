@@ -18,7 +18,8 @@ from agreeable import (
     restrict_to_candidates,
 )
 
-from agreeable.agreeability import platform_masks
+from agreeable import agreeability
+from agreeable.agreeability import _largest_deficient_size, _subset_search, platform_masks, subset_cap
 from agreeable.oracles import brute_platform_masks
 
 from strategies import BOX2_30, BOX3_30, LINE_200, line_societies, pooled_societies
@@ -90,6 +91,33 @@ def test_cap_via_environment(monkeypatch, seven_voter_society):
         is_km_agreeable(seven_voter_society, AgreeParams(2, 3))
     monkeypatch.setenv("AGREE_MAX_SUBSETS", "100")
     assert is_km_agreeable(seven_voter_society, AgreeParams(2, 3)).agreeable
+
+
+@given(pooled_societies(max_n=11, kinds=("line", "candidates")))
+@settings(max_examples=150, deadline=None)
+def test_track_greedy_verdict_equals_the_subset_search(society):
+    for k in range(1, min(5, society.n) + 1):
+        size = _largest_deficient_size(society, k)
+        for m in range(k, society.n + 1):
+            params = AgreeParams(k, m)
+            searched = _subset_search(society, params, subset_cap())
+            assert (size < m) == searched.agreeable
+            assert is_km_agreeable(society, params) == searched
+
+
+def test_positive_line_verdict_needs_no_subset_search(monkeypatch):
+    # The 24-voter line of `generate random --kind line --n 24 --seed 2
+    # --coord-max 72 --max-length 12`, whose (4,21) search takes seconds.
+    society = random_society("line", 24, 2, RandomConfig(coord_min=0, coord_max=72, min_length=0, max_length=12))
+
+    def no_search(*args):
+        raise RuntimeError("the subset search ran")
+
+    monkeypatch.setattr(agreeability, "_subset_search", no_search)
+    assert _largest_deficient_size(society, 4) == 20
+    assert is_km_agreeable(society, AgreeParams(4, 21)).agreeable
+    with pytest.raises(RuntimeError, match="the subset search ran"):
+        is_km_agreeable(society, AgreeParams(4, 20))
 
 
 def test_pigeonhole_examples():
@@ -224,9 +252,14 @@ def test_platform_masks_match_brute_force(society):
 def test_box_masks_drop_a_clique_inside_another():
     # The first-axis cliques are {v1, v3} and {v2, v3}; on the second axis v2
     # and v3 are apart, which splits the latter into {v2} and {v3}, and {v3}
-    # lies inside {v1, v3}.
-    society = box_society([((4, 5), (5, 6)), ((6, 8), (3, 4)), ((5, 7), (5, 8))])
-    assert platform_masks(society) == [0b101, 0b010] == brute_platform_masks(society)
+    # lies inside {v1, v3}: v1, outside it, meets its box.  In the second
+    # society v1 meets v3 at the corner (5, 5) alone, and v4 approves nothing.
+    for boxes in (
+        [((4, 5), (5, 6)), ((6, 8), (3, 4)), ((5, 7), (5, 8))],
+        [((4, 5), (4, 5)), ((6, 8), (3, 4)), ((5, 7), (5, 8)), None],
+    ):
+        society = box_society(boxes)
+        assert platform_masks(society) == [0b101, 0b010] == brute_platform_masks(society)
 
 
 @given(pooled_societies(), st.data())

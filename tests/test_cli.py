@@ -263,26 +263,28 @@ def test_format_errors_cut_long_values(tmp_path, value):
 
 
 def test_check_stops_at_the_node_budget():
-    # C(24, 21) = 2024 passes the cap, but the search needs far more than
-    # 8 * 2024 nodes to prove this society (4,21)-agreeable.
+    # C(20, 17) = 1140 passes the cap, but the search needs more than
+    # 8 * 1140 nodes to prove this 2-box society (4,17)-agreeable; with the
+    # default cap it answers yes.  (A line or slate society would be
+    # answered by the track greedy without a search.)
     cli = [sys.executable, "-m", "agreeable"]
     society = subprocess.run(
-        [*cli, "generate", "random", "--kind", "line", "--n", "24", "--seed", "2",
-         "--coord-max", "72", "--max-length", "12"],
+        [*cli, "generate", "random", "--kind", "box", "--d", "2", "--n", "20", "--seed", "2",
+         "--coord-max", "40", "--max-length", "14"],
         capture_output=True,
         text=True,
         check=True,
     ).stdout
     result = subprocess.run(
-        [*cli, "check", "-", "--k", "4", "--m", "21"],
+        [*cli, "check", "-", "--k", "4", "--m", "17"],
         input=society,
         capture_output=True,
         text=True,
-        env={**os.environ, "AGREE_MAX_SUBSETS": "2024"},
+        env={**os.environ, "AGREE_MAX_SUBSETS": "1140"},
     )
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr == "error: subset search exceeded 16192 nodes\n"
+    assert result.stderr == "error: subset search exceeded 9120 nodes\n"
 
 
 def test_check_refuses_box_society_past_the_voter_cap(tmp_path, capsys):

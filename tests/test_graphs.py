@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from agreeable import (
     AgreeParams,
     BoxSpectrum,
+    CandidateSpectrum,
     Society,
     Voter,
     agreement,
@@ -205,8 +206,21 @@ def _assert_matches_oracles(society):
     assert list(fast.items()) == list(brute_first_fit_coloring(society).assignment.items())
 
 
-@given(one_d_societies(max_n=12))
-@settings(max_examples=200)
+@st.composite
+def tie_heavy_slates(draw, max_n=12):
+    """Elections on at most three candidates from intervals on five points:
+    many voters share a span, and more share a right end."""
+    slate = sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=3)))
+    ends = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(sorted)
+    intervals = draw(st.lists(st.one_of(st.none(), ends), min_size=1, max_size=max_n))
+    society = linear_society([None if iv is None else tuple(iv) for iv in intervals])
+    if draw(st.booleans()):
+        return restrict_to_candidates(society, slate)
+    return Society(CandidateSpectrum(tuple(slate)), society.voters)
+
+
+@given(st.one_of(one_d_societies(max_n=12), tie_heavy_slates()))
+@settings(max_examples=250)
 def test_graph_and_coloring_match_pairwise_oracles(society):
     _assert_matches_oracles(society)
 

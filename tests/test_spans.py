@@ -28,7 +28,9 @@ from agreeable import (
     linear_society,
     loads_society,
     restrict_to_candidates,
+    validate,
 )
+import agreeable.society as society_mod
 from agreeable.graphs import Graph
 from agreeable.oracles import brute_first_fit_coloring, brute_interval_graph, brute_line_agreement
 
@@ -211,3 +213,29 @@ def test_restriction_shares_one_hull_per_span():
     a, b, c, d, e = (v.approval for v in election.voters)
     assert a == Interval(1, 3) and a is b is c
     assert d is None and e == Interval(3, 7)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        linear_society([(0, 2), (1, 3), None, (7, 9)]),
+        linear_society([(0, 2), (1, 3), None, (2, 2)], ids=["a", "b", "a", "b"]),
+        Society(LINE, ()),
+    ],
+    ids=["valid", "duplicate-ids", "no-voters"],
+)
+def test_election_inherits_its_own_violations(source):
+    election = restrict_to_candidates(source, [0, 2, 5])
+    assert election.violations == tuple(validate(election)) == source.violations
+
+
+def test_tour_of_a_valid_source_validates_only_the_source(monkeypatch):
+    calls = []
+    real_validate = society_mod.validate
+    monkeypatch.setattr(society_mod, "validate", lambda s: calls.append(s) or real_validate(s))
+    society = linear_society([(0, 3), (1, 4), (0, 3), (4, 5), (2, 9), None])
+    election = restrict_to_candidates(society, [1, 3, 7])
+    agreement(society)
+    for read in READERS:
+        read(election)
+    assert len(calls) == 1 and calls[0] is society
