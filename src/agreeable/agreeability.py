@@ -26,49 +26,25 @@ A voter with an empty approval set appears in no platform mask: it can
 never be among the k agreeing voters, and (1,m)-agreeability requires a
 voter with a non-empty approval set in every m-subset.
 
-On a line or a slate, a largest deficient set is a maximum
-(k-1)-colorable subgraph of the interval graph, which a greedy pass over
-the spans by right end finds in O(n log n + n k) (Yannakakis & Gavril 1987;
-Carlisle & Lloyd 1995).  When it has fewer than m voters the society is
-agreeable and no search runs.  The search still decides every other case:
-it alone gives the lexicographically first witness, and boxes with d >= 2
-have no such greedy.  Either way the C(n, m) cap is applied first.
+On a one-dimensional (line, slate, 1-box) society, a largest deficient
+set is a maximum (k-1)-colorable subgraph of the interval graph, which a
+greedy pass over the spans by right end finds in O(n log n + n k)
+(Yannakakis & Gavril 1987; Carlisle & Lloyd 1995).  When it has fewer than
+m voters the society is agreeable and no search runs.  The search still
+decides every other case: it alone gives the lexicographically first
+witness, and boxes with d >= 2 have no such greedy.  Either way the C(n, m)
+cap, and for boxes the box caps, are applied first.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from bisect import bisect_left
 from functools import reduce
 from operator import or_
 
 from ._frozen import Frozen
-from .errors import CapExceededError
+from .errors import _node_budget, _require_box_caps, _require_subset_cap
 from .society import BoxSpectrum, Society, require_valid
-
-# Upper bound on C(n, m) for an exact check; override with the
-# AGREE_MAX_SUBSETS environment variable.
-DEFAULT_SUBSET_CAP = 2_000_000
-_NODE_BUDGET_FACTOR = 8
-
-
-def subset_cap() -> int:
-    raw = os.environ.get("AGREE_MAX_SUBSETS")
-    return int(raw) if raw else DEFAULT_SUBSET_CAP
-
-
-def _require_subset_cap(n: int, m: int, cap: int | None = None) -> int:
-    """Raise CapExceededError when C(n, m) exceeds the cap; return the cap.
-
-    ``cap`` defaults to :func:`subset_cap`.
-    """
-    if cap is None:
-        cap = subset_cap()
-    count = math.comb(n, m)
-    if count > cap:
-        raise CapExceededError(f"C({n},{m}) = {count} exceeds the enumeration cap {cap}")
-    return cap
 
 
 class AgreeParams(Frozen):
@@ -102,28 +78,28 @@ def platform_masks(society: Society) -> list[int]:
     return list(society._cliques)
 
 
-def is_km_agreeable(
-    society: Society, params: AgreeParams, cap: int | None = None
-) -> AgreeabilityResult:
+def is_km_agreeable(society: Society, params: AgreeParams) -> AgreeabilityResult:
     """Decide (k,m)-agreeability, with a deterministic failure witness.
 
-    A line or slate society whose largest deficient set
+    Past the C(n, m) cap and, for boxes, the box caps: a one-dimensional
+    (line, slate, 1-box) society whose largest deficient set
     (:func:`_largest_deficient_size`) has fewer than m voters is agreeable
-    without a search; otherwise, and for boxes, the subset search decides
-    and finds the witness.
+    without a search; the subset search decides every other case.
     """
     require_valid(society)
-    n = society.n
+    n, spectrum = society.n, society.spectrum
     if n < params.m:
         raise ValueError(f"society has {n} voters but m={params.m}")
-    cap = _require_subset_cap(n, params.m, cap)
-    if not isinstance(society.spectrum, BoxSpectrum) and _largest_deficient_size(society, params.k) < params.m:
+    _require_subset_cap(n, params.m)
+    if isinstance(spectrum, BoxSpectrum):
+        _require_box_caps(n, spectrum.dimension)
+    if spectrum.dimension == 1 and _largest_deficient_size(society, params.k) < params.m:
         return AgreeabilityResult(True, params)
-    return _subset_search(society, params, cap)
+    return _subset_search(society, params)
 
 
 def _largest_deficient_size(society: Society, k: int) -> int:
-    """The voter count of a largest deficient set of a line or slate society.
+    """The voter count of a largest deficient set of a one-dimensional society.
 
     A set of spans is deficient iff no point lies in k of them, that is iff
     it splits into k-1 tracks of pairwise disjoint spans: the largest one is
@@ -147,10 +123,9 @@ def _largest_deficient_size(society: Society, k: int) -> int:
     return size + his.count(None)
 
 
-def _subset_search(society: Society, params: AgreeParams, cap: int) -> AgreeabilityResult:
+def _subset_search(society: Society, params: AgreeParams) -> AgreeabilityResult:
     """The depth-first search of the module docstring, on a valid society
-    with at least m voters; raises CapExceededError past ``cap`` times the
-    node budget factor nodes."""
+    with at least m voters; raises CapExceededError past the node budget."""
     n = society.n
     k, m = params.k, params.m
     masks = platform_masks(society)
@@ -158,18 +133,13 @@ def _subset_search(society: Society, params: AgreeParams, cap: int) -> Agreeabil
     # Voters in no mask approve no platform at all (empty approval set, or
     # an interval containing no candidate); they join any deficient subset.
     free = full & ~reduce(or_, masks, 0)
-    budget = cap * _NODE_BUDGET_FACTOR
-    nodes = 0
 
     # Depth-first in voter order with an explicit stack, so no subset size
     # can overflow the interpreter's recursion limit.  A node is the chosen
     # voter set, with voters below ``start`` already decided; each stack
     # entry is an expanded node and the voters it has still to try.
     chosen, start, stack = 0, 0, []
-    while True:
-        nodes += 1
-        if nodes > budget:
-            raise CapExceededError(f"subset search exceeded {budget} nodes")
+    for _ in _node_budget():
         size = chosen.bit_count()
         if size == m:
             ids = tuple(v.id for i, v in enumerate(society.voters) if chosen >> i & 1)

@@ -34,6 +34,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from ._frozen import Frozen
+from .errors import _require_box_caps
 from .society import (
     BoxSpectrum,
     CandidateSpectrum,
@@ -42,7 +43,6 @@ from .society import (
     LineSpectrum,
     Society,
     _coord_to_json,
-    _require_box_caps,
     coord_str,
     require_valid,
 )
@@ -261,7 +261,7 @@ def good_set_count(society: Society, size: int | None = None) -> int:
         raise ValueError(f"good_set_count needs size >= 1, got size={size}")
     if society.n <= spectrum.dimension:
         raise ValueError(f"need more than d={spectrum.dimension} voters, got {society.n}")
-    _require_box_caps(society)
+    _require_box_caps(society.n, spectrum.dimension)
 
     count = 0
     for subset in itertools.combinations(society.voters, size):

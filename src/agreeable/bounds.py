@@ -24,12 +24,8 @@ from fractions import Fraction
 from ._frozen import Frozen
 from .agreeability import AgreeParams, AgreeabilityResult, is_km_agreeable
 from .agreement import AgreementReport, agreement
-from .errors import CapExceededError
+from .errors import CapExceededError, _require_root_degree
 from .society import BoxSpectrum, Society, coord_str
-
-# Each bisection step of an enclosure raises an integer to the degree: at
-# 50 000 the enclosure of ``bounds --d 49999`` takes about 1.3 s.
-MAX_ENCLOSURE_DEGREE = 50_000
 
 
 class Division(Frozen):
@@ -76,8 +72,7 @@ def nth_root_enclosure(x: Fraction, degree: int, digits: int) -> tuple[Fraction,
         raise ValueError("degree must be >= 1")
     if x == 0 or x == 1:
         return Fraction(x), Fraction(x)
-    if degree > MAX_ENCLOSURE_DEGREE:
-        raise CapExceededError(f"a root of degree {degree} exceeds the enclosure cap {MAX_ENCLOSURE_DEGREE}")
+    _require_root_degree(degree)
     scale = 10**digits
     bound = x.numerator * scale**degree
     hi_int = scale

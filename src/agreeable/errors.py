@@ -1,9 +1,54 @@
-"""Shared exception types."""
+"""The shared exception type and every work cap, each beside the one check
+that raises it: no routine here returns an approximate answer silently.
+Only the oracles' vertex caps and Python's digit limit live where they are
+read."""
+
+import itertools
+import math
+import os
+
+# C(n, m) past this refuses an exact check (AGREE_MAX_SUBSETS overrides it),
+# and the subset search stops past _NODE_BUDGET_FACTOR times that many nodes.
+DEFAULT_SUBSET_CAP = 2_000_000
+_NODE_BUDGET_FACTOR = 8
+# Box work grows with n^d: up to n^d maximal cliques, each a mask the subset
+# search scans at every node, and C(n, d+1) good-set subsets.
+MAX_BOX_VOTERS = 30
+MAX_BOX_DIMENSION = 3
+# Each bisection step of an enclosure raises an integer to the degree: at
+# 50 000 the enclosure of ``bounds --d 49999`` takes about 1.3 s.
+MAX_ENCLOSURE_DEGREE = 50_000
 
 
 class CapExceededError(RuntimeError):
-    """An exact enumeration would exceed its configured instance-size cap.
+    """An exact enumeration would exceed its configured instance-size cap."""
 
-    Caps are hard errors by design: no routine in this package ever returns
-    an approximate answer silently.
-    """
+
+def subset_cap() -> int:
+    raw = os.environ.get("AGREE_MAX_SUBSETS")
+    return int(raw) if raw else DEFAULT_SUBSET_CAP
+
+
+def _require_subset_cap(n: int, m: int) -> None:
+    count, cap = math.comb(n, m), subset_cap()
+    if count > cap:
+        raise CapExceededError(f"C({n},{m}) = {count} exceeds the enumeration cap {cap}")
+
+
+def _node_budget():
+    """Yield once per search node allowed, then refuse the next node."""
+    budget = subset_cap() * _NODE_BUDGET_FACTOR
+    yield from itertools.repeat(None, budget)
+    raise CapExceededError(f"subset search exceeded {budget} nodes")
+
+
+def _require_box_caps(n: int, d: int) -> None:
+    if n > MAX_BOX_VOTERS:
+        raise CapExceededError(f"box societies are capped at {MAX_BOX_VOTERS} voters, got {n}")
+    if d > MAX_BOX_DIMENSION:
+        raise CapExceededError(f"box societies are capped at dimension {MAX_BOX_DIMENSION}, got {d}")
+
+
+def _require_root_degree(degree: int) -> None:
+    if degree > MAX_ENCLOSURE_DEGREE:
+        raise CapExceededError(f"a root of degree {degree} exceeds the enclosure cap {MAX_ENCLOSURE_DEGREE}")

@@ -25,7 +25,7 @@ from bisect import bisect_right
 from functools import cached_property
 
 from ._frozen import Frozen, set_field
-from .society import BoxSpectrum, Society, require_valid
+from .society import Society, require_valid
 
 
 class Graph(Frozen):
@@ -146,7 +146,7 @@ def agreement_graph(society: Society) -> Graph:
     order = sorted([i for i, lo in enumerate(los) if lo is not None], key=los.__getitem__)
     starts = [los[i] for i in order]
     runs = [order[p + 1 : bisect_right(starts, his[i], p + 1)] for p, i in enumerate(order)]
-    for axis in range(1, society.spectrum.dimension if isinstance(society.spectrum, BoxSpectrum) else 1):
+    for axis in range(1, society.spectrum.dimension):
         lo = [None if v.approval is None else v.approval.sides[axis].lo for v in society.voters]
         hi = [None if v.approval is None else v.approval.sides[axis].hi for v in society.voters]
         runs = [[j for j in run if lo[j] <= hi[i] and lo[i] <= hi[j]] for i, run in zip(order, runs)]
@@ -157,7 +157,7 @@ def agreement_graph(society: Society) -> Graph:
 
 def _require_interval_view(society: Society) -> None:
     """Refuse boxes with d >= 2, whose first-axis spans do not represent them."""
-    if isinstance(society.spectrum, BoxSpectrum) and society.spectrum.dimension >= 2:
+    if society.spectrum.dimension >= 2:
         raise ValueError("no interval representation for boxes with d >= 2")
 
 

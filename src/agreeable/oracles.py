@@ -18,9 +18,9 @@ from collections import Counter
 from collections.abc import Iterator
 
 from ._frozen import Frozen
-from .agreeability import AgreeParams, _require_subset_cap
+from .agreeability import AgreeParams
 from .agreement import AgreementReport
-from .errors import CapExceededError
+from .errors import CapExceededError, _require_subset_cap
 from .graphs import Coloring, Graph
 from .society import Box, BoxSpectrum, CandidateSpectrum, Interval, LineSpectrum, Society
 
@@ -214,7 +214,7 @@ def _has_clique(candidates: int, size: int, adj: list[int]) -> bool:
     return False
 
 
-def every_m_subset_has_k_clique(graph: Graph, params: AgreeParams, cap: int | None = None) -> bool:
+def every_m_subset_has_k_clique(graph: Graph, params: AgreeParams) -> bool:
     """Exhaustively test: does every m-subset of vertices include a k-clique?
 
     This is the purely graph-theoretic hypothesis shared by the coloring
@@ -229,7 +229,7 @@ def every_m_subset_has_k_clique(graph: Graph, params: AgreeParams, cap: int | No
     k, m = params.k, params.m
     if n < m:
         raise ValueError(f"graph has {n} vertices but m={m}")
-    _require_subset_cap(n, m, cap)
+    _require_subset_cap(n, m)
     adj = _adjacency_masks(graph)
     # (chosen vertex set, its size, first vertex still to try); an explicit
     # stack, as m can exceed the interpreter's recursion limit.
@@ -365,8 +365,7 @@ def _brute_grid(society: Society) -> Iterator[tuple[tuple, int]]:
     if isinstance(spectrum, CandidateSpectrum):
         axes = [spectrum.candidates]
     else:
-        dimension = spectrum.dimension if isinstance(spectrum, BoxSpectrum) else 1
-        axes = [sorted({b.sides[axis].lo for _, b in boxes}) for axis in range(dimension)]
+        axes = [sorted({b.sides[axis].lo for _, b in boxes}) for axis in range(spectrum.dimension)]
     for point in itertools.product(*axes):
         yield point, sum(bit for bit, b in boxes if b.contains(point))
 

@@ -35,17 +35,11 @@ from json.encoder import encode_basestring_ascii  # json.dumps's escaper, in C
 from typing import IO, Union
 
 from ._frozen import Frozen
-from .errors import CapExceededError
+from .errors import _require_box_caps
 
 # The entry points (:func:`as_coord` and the JSON loader) give a whole
 # number as an int: int comparisons run in C, Fraction's in Python.
 Coord = int | Fraction
-
-# Box work grows with n^d: up to n^d maximal cliques, each a mask the subset
-# search scans at every node, and C(n, d+1) good-set subsets.  Until a work
-# budget bounds it, box computations past these limits are refused.
-MAX_BOX_VOTERS = 30
-MAX_BOX_DIMENSION = 3
 
 
 def as_coord(value: Union[int, str, Fraction, Decimal]) -> Coord:
@@ -162,6 +156,7 @@ class LineSpectrum(Frozen):
 
     __slots__ = ()
     kind = "line"
+    dimension = 1
 
 
 class CandidateSpectrum(Frozen):
@@ -169,6 +164,7 @@ class CandidateSpectrum(Frozen):
 
     __slots__ = ("candidates",)
     kind = "candidates"
+    dimension = 1
 
 
 class BoxSpectrum(Frozen):
@@ -229,9 +225,9 @@ class Society(Frozen):
         a malformed society and CapExceededError past the box caps.
         """
         require_valid(self)
-        d = self.spectrum.dimension if isinstance(self.spectrum, BoxSpectrum) else 1
+        d = self.spectrum.dimension
         if isinstance(self.spectrum, BoxSpectrum):
-            _require_box_caps(self)
+            _require_box_caps(self.n, d)
         axes = [self._spans]
         cliques = _interval_cliques(*self._spans)
         for axis in range(1, d):
@@ -443,16 +439,6 @@ def _slate_spans(intervals, candidates: tuple[Coord, ...]) -> tuple[tuple[int | 
     :func:`_candidate_range`, as two parallel tuples."""
     spans = [_candidate_range(iv, candidates) or (None, None) for iv in intervals]
     return tuple(span[0] for span in spans), tuple(span[1] for span in spans)
-
-
-def _require_box_caps(society: Society) -> None:
-    """Refuse a box society past ``MAX_BOX_VOTERS`` voters or ``MAX_BOX_DIMENSION`` dimensions."""
-    if society.n > MAX_BOX_VOTERS:
-        raise CapExceededError(f"box societies are capped at {MAX_BOX_VOTERS} voters, got {society.n}")
-    if society.spectrum.dimension > MAX_BOX_DIMENSION:
-        raise CapExceededError(
-            f"box societies are capped at dimension {MAX_BOX_DIMENSION}, got {society.spectrum.dimension}"
-        )
 
 
 def _interval_cliques(los, his) -> list[int]:

@@ -32,7 +32,6 @@ from .agreeability import (
     _subset_search,
     is_km_agreeable,
     platform_masks,
-    subset_cap,
 )
 from .agreement import agreement, common_platform, good_set_count, good_set_lower_bound, two_platform_cover
 from .bounds import bound_sheet, bound_values, clique_bound
@@ -59,7 +58,7 @@ from .oracles import (
     every_m_subset_has_k_clique,
     is_perfect_by_enumeration,
 )
-from .society import Society, dumps_society, linear_society, restrict_to_candidates, to_box_society, validate
+from .society import Society, dumps_society, linear_society, restrict_to_candidates, to_box_society
 
 SUITES = ("linear", "box", "graph")
 
@@ -167,7 +166,7 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
         tag = f"seed={s_seed} n={n}"
         art = partial(dumps_society, society)
 
-        rec.check("generated-societies-validate", not validate(society), lambda: tag, art)
+        rec.check("generated-societies-validate", not society.violations, lambda: tag, art)
 
         report = agreement(society)
         image = _farey_image(society)
@@ -220,7 +219,7 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
             # The track greedy's verdict and the subset search's: either one
             # positive runs the check, which fails unless they agree.
             greedy = _largest_deficient_size(society, params.k) < params.m
-            result = _subset_search(society, params, subset_cap())
+            result = _subset_search(society, params)
             if not (greedy or result.agreeable):
                 continue
             clique, proportion = bound_sheet(society, params, agreeability=result, report=report).entries
@@ -290,10 +289,10 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
         a = agreement(society).agreement_number
         cb = clique_bound(n, params)
         ok = (
-            not validate(society)
+            not society.violations
             and a == cb
             and _largest_deficient_size(society, params.k) < params.m
-            and _subset_search(society, params, subset_cap()).agreeable
+            and _subset_search(society, params).agreeable
         )
         rec.check("extremal-construction-tight", ok, lambda: f"n={n} k={params.k} m={params.m} a={a} cb={cb}")
 
@@ -304,7 +303,7 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
         box_a = agreement(to_box_society(society)).agreement_number
         rec.check(
             "clique-plus-isolated-achieves-small-m-bound",
-            not validate(society) and a == expected == box_a,
+            not society.violations and a == expected == box_a,
             lambda: f"n={n} k={params.k} m={params.m} a={a}",
         )
 
@@ -337,7 +336,7 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
         tag = f"seed={s_seed} n={n} d={d}"
         art = partial(dumps_society, society)
 
-        rec.check("generated-societies-validate", not validate(society), lambda: tag, art)
+        rec.check("generated-societies-validate", not society.violations, lambda: tag, art)
 
         report = agreement(society)
         graph = agreement_graph(society)
@@ -364,6 +363,7 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
         pair_rng = random.Random(child_seed(seed, "box-params", t))
         pairs = _km_pairs(pair_rng, n) + small_m_params
         seen: set[tuple[int, int]] = set()
+        g = None  # the good-set count, once per society
         for params in pairs:
             if (params.k, params.m) in seen or n < params.m or params.m <= d:
                 continue
@@ -378,7 +378,7 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
                 lambda: f"{tag} k={params.k} m={params.m} a={report.agreement_number}",
                 art,
             )
-            g = good_set_count(society)
+            g = good_set_count(society) if g is None else g
             bound = good_set_lower_bound(n, d, params.k, params.m)
             rec.check(
                 "good-set-counting-inequality",

@@ -19,7 +19,7 @@ from agreeable import (
 )
 
 from agreeable import agreeability
-from agreeable.agreeability import _largest_deficient_size, _subset_search, platform_masks, subset_cap
+from agreeable.agreeability import _largest_deficient_size, _subset_search, platform_masks
 from agreeable.oracles import brute_platform_masks
 
 from strategies import BOX2_30, BOX3_30, LINE_200, line_societies, pooled_societies
@@ -93,14 +93,14 @@ def test_cap_via_environment(monkeypatch, seven_voter_society):
     assert is_km_agreeable(seven_voter_society, AgreeParams(2, 3)).agreeable
 
 
-@given(pooled_societies(max_n=11, kinds=("line", "candidates")))
+@given(pooled_societies(max_n=11, kinds=("line", "candidates", 1)))
 @settings(max_examples=150, deadline=None)
 def test_track_greedy_verdict_equals_the_subset_search(society):
     for k in range(1, min(5, society.n) + 1):
         size = _largest_deficient_size(society, k)
         for m in range(k, society.n + 1):
             params = AgreeParams(k, m)
-            searched = _subset_search(society, params, subset_cap())
+            searched = _subset_search(society, params)
             assert (size < m) == searched.agreeable
             assert is_km_agreeable(society, params) == searched
 
@@ -118,6 +118,20 @@ def test_positive_line_verdict_needs_no_subset_search(monkeypatch):
     assert is_km_agreeable(society, AgreeParams(4, 21)).agreeable
     with pytest.raises(RuntimeError, match="the subset search ran"):
         is_km_agreeable(society, AgreeParams(4, 20))
+
+
+def test_positive_one_box_verdict_needs_no_subset_search(monkeypatch):
+    # The 28 voters of `generate random --kind box --d 1 --n 28 --seed 1
+    # --coord-max 84 --max-length 12`: a 1-box society is one-dimensional.
+    config = RandomConfig(coord_min=0, coord_max=84, min_length=0, max_length=12, dimension=1)
+    society = random_society("box", 28, 1, config)
+
+    def no_search(*args):
+        raise RuntimeError("the subset search ran")
+
+    monkeypatch.setattr(agreeability, "_subset_search", no_search)
+    assert _largest_deficient_size(society, 4) < 24
+    assert is_km_agreeable(society, AgreeParams(4, 24)).agreeable
 
 
 def test_pigeonhole_examples():

@@ -17,8 +17,8 @@ from agreeable import (
     proportion_bound,
     small_m_bound,
 )
-from agreeable.bounds import MAX_ENCLOSURE_DEGREE, decimal_str, nth_root_enclosure
-from agreeable.errors import CapExceededError
+from agreeable.bounds import decimal_str, nth_root_enclosure
+from agreeable.errors import MAX_ENCLOSURE_DEGREE, CapExceededError
 
 
 def test_division_examples():
@@ -157,7 +157,7 @@ def test_nth_root_enclosure_of_zero_and_one_is_exact_at_any_degree(x):
 def test_nth_root_enclosure_refuses_degrees_past_the_cap(monkeypatch):
     with pytest.raises(CapExceededError, match=f"degree {MAX_ENCLOSURE_DEGREE + 1} exceeds the enclosure cap"):
         nth_root_enclosure(Fraction(1, 2), MAX_ENCLOSURE_DEGREE + 1, 6)
-    monkeypatch.setattr("agreeable.bounds.MAX_ENCLOSURE_DEGREE", 3)
+    monkeypatch.setattr("agreeable.errors.MAX_ENCLOSURE_DEGREE", 3)
     assert nth_root_enclosure(Fraction(27, 8), 3, 6) == (Fraction(3, 2), Fraction(3, 2))
     with pytest.raises(CapExceededError, match="a root of degree 4 exceeds the enclosure cap 3"):
         nth_root_enclosure(Fraction(16), 4, 6)

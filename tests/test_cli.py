@@ -296,6 +296,14 @@ def test_check_refuses_box_society_past_the_voter_cap(tmp_path, capsys):
     assert "box societies are capped at 30 voters, got 31" in err
 
 
+def test_check_refuses_one_box_society_past_the_voter_cap(tmp_path, capsys):
+    # A 1-box society takes the track greedy, but only after the box caps.
+    path = str(tmp_path / "one_boxes.json")
+    save_society(box_society([((0, 1),)] * 31), path)
+    code, out, err = run_cli(["check", path, "--k", "2", "--m", "3"], capsys=capsys)
+    assert (code, out, err) == (2, "", "error: box societies are capped at 30 voters, got 31\n")
+
+
 def test_bounds_command(capsys):
     code, out, _ = run_cli(
         ["bounds", "--k", "4", "--m", "15", "--n", "21", "--format", "json"], capsys=capsys

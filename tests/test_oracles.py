@@ -59,7 +59,7 @@ def test_brute_chromatic_examples():
     assert brute_chromatic(cycle(6)) == 2
 
 
-def test_oracle_caps():
+def test_oracle_caps(monkeypatch):
     with pytest.raises(CapExceededError):
         brute_clique(edgeless(25))
     with pytest.raises(CapExceededError):
@@ -68,16 +68,18 @@ def test_oracle_caps():
         brute_min_vertex_cover(edgeless(19))
     with pytest.raises(CapExceededError):
         check_cover_lemma(edgeless(15))
+    monkeypatch.setenv("AGREE_MAX_SUBSETS", "10")
     with pytest.raises(CapExceededError):
-        every_m_subset_has_k_clique(complete(12), AgreeParams(2, 6), cap=10)
+        every_m_subset_has_k_clique(complete(12), AgreeParams(2, 6))
 
 
-def test_subset_caps_share_one_message(seven_voter_society):
+def test_subset_caps_share_one_message(monkeypatch, seven_voter_society):
     message = r"C\(7,3\) = 35 exceeds the enumeration cap 34"
+    monkeypatch.setenv("AGREE_MAX_SUBSETS", "34")
     with pytest.raises(CapExceededError, match=message):
-        every_m_subset_has_k_clique(agreement_graph(seven_voter_society), AgreeParams(2, 3), cap=34)
+        every_m_subset_has_k_clique(agreement_graph(seven_voter_society), AgreeParams(2, 3))
     with pytest.raises(CapExceededError, match=message):
-        is_km_agreeable(seven_voter_society, AgreeParams(2, 3), cap=34)
+        is_km_agreeable(seven_voter_society, AgreeParams(2, 3))
 
 
 @given(graphs(max_n=8))

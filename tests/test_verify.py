@@ -100,3 +100,32 @@ def test_sweep_property_compares_witnesses(monkeypatch):
     sweep = next(r for r in report.results if r.name == "sweep-matches-endpoint-oracle")
     assert sweep.checked == 10
     assert len(sweep.violations) == 10
+
+
+def test_linear_suite_validates_each_society_once(monkeypatch):
+    society_mod = importlib.import_module("agreeable.society")
+    real_validate = society_mod.validate
+    validated = []  # the societies themselves, so no id is reused
+
+    def counting(society):
+        validated.append(society)
+        return real_validate(society)
+
+    # Wherever the suite may reach it: through Society.violations or by name.
+    monkeypatch.setattr(society_mod, "validate", counting)
+    monkeypatch.setattr(verify_mod, "validate", counting, raising=False)
+    assert all(r.ok for r in verify_mod.run_linear_suite(6, 1))
+    counts = [sum(s is other for other in validated) for s in validated]
+    assert len(validated) >= 16
+    assert max(counts) == 1
+
+
+def test_box_suite_counts_good_sets_once_per_society(monkeypatch):
+    counted = []
+    real = verify_mod.good_set_count
+    monkeypatch.setattr(verify_mod, "good_set_count", lambda society: counted.append(society) or real(society))
+    report = run_suites("box", 24, seed=1)
+    assert report.ok
+    good = next(r for r in report.results if r.name == "good-set-counting-inequality")
+    assert 0 < len(counted) < good.checked
+    assert all(sum(s is other for other in counted) == 1 for s in counted)
