@@ -16,8 +16,8 @@ last approved candidate index (bisected once per society, or handed over by
 candidates.  Box depth is the size of the largest of the society's cached
 maximal cliques, capped at 30 voters and 3 dimensions.  Those come from the
 line's one-pass clique sweep, run axis by axis on the voters of each clique
-so far: up to n^(d-1) restricted sweeps, then a maximality test of O(n d)
-per candidate, both bounded by the 30-voter cap.
+so far: up to n^(d-1) restricted sweeps, then a maximality test of one
+neighbourhood AND per member; good sets are cliques on those neighbourhoods.
 
 Closed-interval semantics enter the computation in two places: the line
 sweep counts, at a left end, only the right ends strictly below it, so
@@ -34,7 +34,6 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from ._frozen import Frozen
-from .errors import _require_box_caps
 from .society import (
     BoxSpectrum,
     CandidateSpectrum,
@@ -43,6 +42,8 @@ from .society import (
     LineSpectrum,
     Society,
     _coord_to_json,
+    _members,
+    _neighbourhoods,
     coord_str,
     require_valid,
 )
@@ -126,15 +127,13 @@ def _box_agreement(society: Society) -> AgreementReport:
     clique alone, so their sorted union is the grid's optimal points in
     ``itertools.product`` order.
     """
-    if not isinstance(society.spectrum, BoxSpectrum):
-        raise ValueError("box depth applies to box societies")
     cliques = society._cliques
     best = cliques[0].bit_count() if cliques else 0
     boxes = [v.approval for v in society.voters]
     axes = [sorted({b.sides[a].lo for b in boxes if b is not None}) for a in range(society.spectrum.dimension)]
     points: list[tuple] = []
     for clique in itertools.takewhile(lambda m: m.bit_count() == best, cliques):
-        sides = zip(*[b.sides for i, b in enumerate(boxes) if clique >> i & 1])
+        sides = zip(*[boxes[i].sides for i in _members(clique)])
         points += itertools.product(*[
             axis[bisect_left(axis, max(s.lo for s in side)) : bisect_right(axis, min(s.hi for s in side))]
             for axis, side in zip(axes, sides)
@@ -247,9 +246,10 @@ def good_set_count(society: Society, size: int | None = None) -> int:
 
     ``size`` defaults to d+1 for a d-box society, the subset size whose
     counting argument feeds the fractional intersection bound.  A subset
-    containing an empty approval set is never counted.  Each subset's
-    boxes are intersected in turn: C(n, size) intersections of at most
-    ``size`` boxes, under the box caps.
+    containing an empty approval set is never counted.  By Helly number 2
+    these are the ``size``-cliques of the agreement graph, counted on the
+    closed neighbourhoods of ``Society._cliques``, each clique extended by
+    later voters only; under the box caps.
     """
     require_valid(society)
     spectrum = society.spectrum
@@ -261,18 +261,14 @@ def good_set_count(society: Society, size: int | None = None) -> int:
         raise ValueError(f"good_set_count needs size >= 1, got size={size}")
     if society.n <= spectrum.dimension:
         raise ValueError(f"need more than d={spectrum.dimension} voters, got {society.n}")
-    _require_box_caps(society.n, spectrum.dimension)
+    near = _neighbourhoods(society._cliques, society.n)
 
-    count = 0
-    for subset in itertools.combinations(society.voters, size):
-        common = subset[0].approval
-        for v in subset[1:]:
-            if common is None:
-                break
-            common = None if v.approval is None else common.intersect(v.approval)
-        if common is not None:
-            count += 1
-    return count
+    def count(later: int, size: int) -> int:
+        if size == 1:
+            return later.bit_count()
+        return sum(count(later & near[i] & -(2 << i), size - 1) for i in _members(later))
+
+    return count(sum(1 << i for i, mask in enumerate(near) if mask), size)
 
 
 def good_set_lower_bound(n: int, d: int, k: int, m: int) -> Fraction:

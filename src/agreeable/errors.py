@@ -12,7 +12,7 @@ import os
 DEFAULT_SUBSET_CAP = 2_000_000
 _NODE_BUDGET_FACTOR = 8
 # Box work grows with n^d: up to n^d maximal cliques, each a mask the subset
-# search scans at every node, and C(n, d+1) good-set subsets.
+# search scans at every node.
 MAX_BOX_VOTERS = 30
 MAX_BOX_DIMENSION = 3
 # Each bisection step of an enclosure raises an integer to the degree: at

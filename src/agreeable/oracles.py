@@ -2,11 +2,11 @@
 
 Everything here recomputes graph and society quantities by exhaustive
 enumeration with exact comparisons, sharing no logic with the fast paths it
-is used to validate (the sweep and its integer order keys, the platform
-masks and box depth, the subset search, the sorted-endpoint graph and
-coloring).  Line agreement scores every endpoint and gap once; platform
-masks and box depth both read one containment grid.  The graph oracles run
-on vertex bitmasks, and only the perfection check spends O(3^n).
+is used to validate (the sweep and its integer order keys, the clique
+masks, box depth and good sets, the subset search, the sorted-endpoint graph
+and coloring).  Line agreement scores every endpoint and gap once; platform
+masks, box depth and good sets read one containment grid.  The graph
+oracles run on vertex bitmasks; only the perfection check spends O(3^n).
 Instance-size caps on the exponential searches are hard errors: an oracle
 never silently approximates.
 """
@@ -382,6 +382,14 @@ def brute_platform_masks(society: Society) -> list[int]:
         if not any(m & keep == m for keep in maximal):
             maximal.append(m)
     return maximal
+
+
+def brute_good_set_count(society: Society, size: int, masks: list[int] | None = None) -> int:
+    """The ``size``-subsets of voters inside some mask of ``masks``, by
+    default the society's :func:`brute_platform_masks`."""
+    if masks is None:
+        masks = brute_platform_masks(society)
+    return len({c for m in masks for c in itertools.combinations([i for i in range(society.n) if m >> i & 1], size)})
 
 
 def brute_box_depth(society: Society) -> AgreementReport:

@@ -30,9 +30,9 @@ import sys
 from bisect import bisect_left, bisect_right
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from json.encoder import encode_basestring_ascii  # json.dumps's escaper, in C
-from typing import IO, Union
+from typing import IO, Iterator, Union
 
 from ._frozen import Frozen
 from .errors import _require_box_caps
@@ -218,21 +218,19 @@ class Society(Frozen):
         the next axis's sweep restricted to its voters.  A maximal clique
         shares a point p, so it lies in the first-axis clique holding p's
         first coordinate, then in a next-axis clique inside that one, and so
-        on; every candidate is a clique, so the maximal cliques are the
-        candidates that no voter outside meets in their intersection box.
-        Up to n^(d-1) restricted sweeps, then that test, O(n d) per
-        candidate, both bounded by the box voter cap.  Raises ValueError for
-        a malformed society and CapExceededError past the box caps.
+        on.  So does every meeting pair: the candidates give each voter's
+        closed neighbourhood, and a candidate is maximal iff its members'
+        neighbourhoods meet in it alone.  Up to n^(d-1) restricted sweeps,
+        then O(|C|) mask ANDs per candidate C.  Raises ValueError for a
+        malformed society and CapExceededError past the box caps.
         """
         require_valid(self)
         d = self.spectrum.dimension
         if isinstance(self.spectrum, BoxSpectrum):
             _require_box_caps(self.n, d)
-        axes = [self._spans]
         cliques = _interval_cliques(*self._spans)
         for axis in range(1, d):
             los, his = _key_spans([None if v.approval is None else v.approval.sides[axis] for v in self.voters])
-            axes.append((los, his))
             cliques = {
                 part
                 for clique in cliques
@@ -241,29 +239,8 @@ class Society(Frozen):
         cliques = sorted(cliques, key=lambda m: (-m.bit_count(), m))
         if d == 1:
             return tuple(cliques)
-        # Helly number 2: a clique is maximal iff no voter outside it meets
-        # its intersection box.  On each axis, the voters whose side starts
-        # at or below the box's top are a prefix of the voters by lower key,
-        # and those whose side ends at or above its bottom a suffix of the
-        # voters by upper key: one mask each, looked up by bisection.
-        tests = []
-        for los, his in axes:
-            by_lo = sorted((lo, i) for i, lo in enumerate(los) if lo is not None)
-            by_hi = sorted((hi, i) for i, hi in enumerate(his) if hi is not None)
-            starts = list(itertools.accumulate([1 << i for _, i in by_lo], operator.or_, initial=0))
-            ends = list(itertools.accumulate([1 << i for _, i in reversed(by_hi)], operator.or_, initial=0))
-            tests.append((los, his, [lo for lo, _ in by_lo], starts, [hi for hi, _ in by_hi], ends[::-1]))
-        voters = range(self.n)
-        maximal: list[int] = []
-        for clique in cliques:
-            inside = [i for i in voters if clique >> i & 1]
-            meets = -1  # the voters meeting the box on every axis so far
-            for los, his, lo_keys, starts, hi_keys, ends in tests:
-                top, bottom = min(map(his.__getitem__, inside)), max(map(los.__getitem__, inside))
-                meets &= starts[bisect_right(lo_keys, top)] & ends[bisect_left(hi_keys, bottom)]
-            if meets == clique:
-                maximal.append(clique)
-        return tuple(maximal)
+        near = _neighbourhoods(cliques, self.n)
+        return tuple(c for c in cliques if reduce(operator.and_, map(near.__getitem__, _members(c))) == c)
 
     @cached_property
     def _spans(self) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
@@ -460,6 +437,24 @@ def _interval_cliques(los, his) -> list[int]:
             diff[last + 1] ^= 1 << i
             maximal[last] = 1
     return list(itertools.compress(itertools.accumulate(diff, operator.xor), maximal))
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The voters of a bitmask in ascending order, by a low-bit walk."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _neighbourhoods(cliques, n: int) -> list[int]:
+    """Each voter's closed neighbourhood as a bitmask, when every meeting
+    pair lies in one of ``cliques``: the union of the cliques holding it."""
+    near = [0] * n
+    for clique in cliques:
+        for i in _members(clique):
+            near[i] |= clique
+    return near
 
 
 def approved_candidates(interval: Interval | None, spectrum: CandidateSpectrum) -> tuple[Coord, ...]:

@@ -1,13 +1,13 @@
 """Seeded property suites cross-checking every fast path against oracles.
 
-Each suite generates a deterministic stream of random instances from a
-base seed (child seeds are ``crc32(label) * 1_000_003 + index`` offsets of
-the base; see README) and re-verifies the package's guarantees on them:
-sweep reports against scoring every endpoint and gap, box depth and
-platform masks against the containment grid, agreement graphs against
+Each suite generates a deterministic stream of random instances from a base
+seed (child seeds are ``crc32(label) * 1_000_003 + index`` offsets of the
+base; see README) and re-verifies the package's guarantees on them: sweep
+reports against scoring every endpoint and gap, box depth, platform masks
+and good-set counts against the containment grid, agreement graphs against
 testing every pair of voters, greedy colorings against brute-force clique
-numbers, the bound sheet's verdicts against computed agreement numbers,
-and the purely graph-theoretic statements against exhaustive search.  The
+numbers, the bound sheet's verdicts against computed agreement numbers, and
+the purely graph-theoretic statements against exhaustive search.  The
 fixed-construction regressions (tight generators, the 5-cycle box society)
 run in every suite invocation regardless of the trial count.
 
@@ -50,6 +50,7 @@ from .oracles import (
     brute_chromatic,
     brute_clique,
     brute_first_fit_coloring,
+    brute_good_set_count,
     brute_interval_graph,
     brute_line_agreement,
     brute_min_vertex_cover,
@@ -128,12 +129,11 @@ class _Recorder:
         return [self.results[name] for name in sorted(self.results)]
 
 
-def _km_pairs(rng: random.Random, n: int, count: int = 2, k_max: int = 6) -> list[AgreeParams]:
+def _km_pairs(rng: random.Random, n: int) -> list[AgreeParams]:
     pairs = []
-    for _ in range(count):
-        k = rng.randint(2, min(k_max, n))
-        m = rng.randint(k, min(k_max, n))
-        pairs.append(AgreeParams(k, m))
+    for _ in range(2):
+        k = rng.randint(2, min(6, n))
+        pairs.append(AgreeParams(k, rng.randint(k, min(6, n))))
     return pairs
 
 
@@ -214,8 +214,6 @@ def run_linear_suite(trials: int, seed: int, failure_dir: str | None = None) -> 
 
         pair_rng = random.Random(child_seed(seed, "linear-params", t))
         for params in _km_pairs(pair_rng, n):
-            if n < params.m:
-                continue
             # The track greedy's verdict and the subset search's: either one
             # positive runs the check, which fails unless they agree.
             greedy = _largest_deficient_size(society, params.k) < params.m
@@ -342,7 +340,8 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
         graph = agreement_graph(society)
         omega = brute_clique(graph)
         same_depth = report == brute_box_depth(society)
-        same_masks = platform_masks(society) == brute_platform_masks(society)
+        brute_masks = brute_platform_masks(society)
+        same_masks = platform_masks(society) == brute_masks
         same_graph = graph == brute_interval_graph(society)
         rec.check(
             "box-depth-equals-brute-clique",
@@ -363,7 +362,7 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
         pair_rng = random.Random(child_seed(seed, "box-params", t))
         pairs = _km_pairs(pair_rng, n) + small_m_params
         seen: set[tuple[int, int]] = set()
-        g = None  # the good-set count, once per society
+        g = None  # the good-set count and its oracle's, once per society
         for params in pairs:
             if (params.k, params.m) in seen or n < params.m or params.m <= d:
                 continue
@@ -378,12 +377,13 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
                 lambda: f"{tag} k={params.k} m={params.m} a={report.agreement_number}",
                 art,
             )
-            g = good_set_count(society) if g is None else g
+            if g is None:
+                g, brute_g = good_set_count(society), brute_good_set_count(society, d + 1, brute_masks)
             bound = good_set_lower_bound(n, d, params.k, params.m)
             rec.check(
                 "good-set-counting-inequality",
-                Fraction(g) >= bound,
-                lambda: f"{tag} k={params.k} m={params.m} g={g} bound={bound}",
+                g == brute_g and Fraction(g) >= bound,
+                lambda: f"{tag} k={params.k} m={params.m} g={g} oracle={brute_g} bound={bound}",
                 art,
             )
             if small_m.applicable:

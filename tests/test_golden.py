@@ -29,6 +29,7 @@ from agreeable import (
     agreement_graph,
     box_society,
     dumps_society,
+    good_set_count,
     greedy_interval_coloring,
     linear_society,
     random_society,
@@ -383,6 +384,12 @@ def test_dense_box_digest(name, capsys, tmp_path):
     path.write_text(dumps_society(box_society(DENSE_BOXES)), encoding="utf-8")
     out = _run([DENSE_BOX_RUNS[name][0], str(path), *DENSE_BOX_RUNS[name][1:]], capsys)
     assert _digest(out) == GOLDEN[name]
+
+
+def test_dense_box_good_set_counts():
+    society = box_society(DENSE_BOXES)
+    counts = [good_set_count(society, size) for size in range(1, 6)]
+    assert counts == [30, 391, 3_122, 17_404, 72_436]
 
 
 @pytest.mark.parametrize("name", sorted(DENSE_BOX2_RUNS))

@@ -46,6 +46,12 @@ def test_seven_voter_graph(seven_voter_society):
         assert not all(graph.has_edge(outsider, member) for member in clique)
 
 
+def test_has_edge_ignores_argument_order(seven_voter_society):
+    graph = agreement_graph(seven_voter_society)
+    assert all(graph.has_edge(v, u) for u, v in graph.edges)
+    assert not graph.has_edge("v7", "v1")
+
+
 def test_disjoint_society_graph_is_edgeless():
     graph = agreement_graph(linear_society([(0, 1), (2, 3), (4, 5)]))
     assert graph.edges == frozenset()

@@ -41,6 +41,11 @@ def test_validate_reports_reversed_interval():
     assert validate(society) == ["voter v1: lo > hi"]
 
 
+def test_validate_reports_reversed_box_side():
+    society = box_society([((0, 1), (2, 1)), ((0, 1), (0, 1))])
+    assert validate(society) == ["voter v1: lo > hi on axis 1"]
+
+
 def test_validate_reports_dimension_mismatch():
     voters = (
         Voter("v1", make_box((0, 1), (0, 1))),
