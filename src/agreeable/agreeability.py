@@ -32,8 +32,8 @@ greedy pass over the spans by right end finds in O(n log n + n k)
 (Yannakakis & Gavril 1987; Carlisle & Lloyd 1995).  When it has fewer than
 m voters the society is agreeable and no search runs.  The search still
 decides every other case: it alone gives the lexicographically first
-witness, and boxes with d >= 2 have no such greedy.  Either way the C(n, m)
-cap, and for boxes the box caps, are applied first.
+witness, and boxes with d >= 2 have no such greedy.  The caps bound the
+search alone, so a one-dimensional "yes" is answered at any size.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from functools import reduce
 from operator import or_
 
 from ._frozen import Frozen
-from .errors import _node_budget, _require_box_caps, _require_subset_cap
-from .society import BoxSpectrum, Society, require_valid
+from .errors import _node_budget, _require_subset_cap
+from .society import Society, require_valid
 
 
 class AgreeParams(Frozen):
@@ -81,19 +81,15 @@ def platform_masks(society: Society) -> list[int]:
 def is_km_agreeable(society: Society, params: AgreeParams) -> AgreeabilityResult:
     """Decide (k,m)-agreeability, with a deterministic failure witness.
 
-    Past the C(n, m) cap and, for boxes, the box caps: a one-dimensional
-    (line, slate, 1-box) society whose largest deficient set
-    (:func:`_largest_deficient_size`) has fewer than m voters is agreeable
-    without a search; the subset search decides every other case.
+    A one-dimensional (line, slate, 1-box) society whose largest deficient
+    set (:func:`_largest_deficient_size`) has fewer than m voters is
+    agreeable, at any size and without a search; the subset search decides
+    every other case, and raises CapExceededError past its caps.
     """
     require_valid(society)
-    n, spectrum = society.n, society.spectrum
-    if n < params.m:
-        raise ValueError(f"society has {n} voters but m={params.m}")
-    _require_subset_cap(n, params.m)
-    if isinstance(spectrum, BoxSpectrum):
-        _require_box_caps(n, spectrum.dimension)
-    if spectrum.dimension == 1 and _largest_deficient_size(society, params.k) < params.m:
+    if society.n < params.m:
+        raise ValueError(f"society has {society.n} voters but m={params.m}")
+    if society.spectrum.dimension == 1 and _largest_deficient_size(society, params.k) < params.m:
         return AgreeabilityResult(True, params)
     return _subset_search(society, params)
 
@@ -125,9 +121,11 @@ def _largest_deficient_size(society: Society, k: int) -> int:
 
 def _subset_search(society: Society, params: AgreeParams) -> AgreeabilityResult:
     """The depth-first search of the module docstring, on a valid society
-    with at least m voters; raises CapExceededError past the node budget."""
+    with at least m voters; raises CapExceededError past the C(n, m) cap,
+    the box caps (from the masks) or the node budget, in that order."""
     n = society.n
     k, m = params.k, params.m
+    _require_subset_cap(n, m)
     masks = platform_masks(society)
     full = (1 << n) - 1
     # Voters in no mask approve no platform at all (empty approval set, or

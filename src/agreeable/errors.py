@@ -4,11 +4,10 @@ Only the oracles' vertex caps and Python's digit limit live where they are
 read."""
 
 import itertools
-import math
 import os
 
-# C(n, m) past this refuses an exact check (AGREE_MAX_SUBSETS overrides it),
-# and the subset search stops past _NODE_BUDGET_FACTOR times that many nodes.
+# C(n, m) past this refuses a subset search or the clique oracle (it is the
+# AGREE_MAX_SUBSETS knob); the search stops past _NODE_BUDGET_FACTOR x that.
 DEFAULT_SUBSET_CAP = 2_000_000
 _NODE_BUDGET_FACTOR = 8
 # Box work grows with n^d: up to n^d maximal cliques, each a mask the subset
@@ -30,9 +29,12 @@ def subset_cap() -> int:
 
 
 def _require_subset_cap(n: int, m: int) -> None:
-    count, cap = math.comb(n, m), subset_cap()
-    if count > cap:
-        raise CapExceededError(f"C({n},{m}) = {count} exceeds the enumeration cap {cap}")
+    """Refuse C(n, m) past the cap, for 1 <= m <= n, counting only until the count passes it."""
+    cap = subset_cap()
+    # C(n, i) rises with i up to min(m, n - m), the smaller index of C(n, m).
+    counts = itertools.accumulate(range(min(m, n - m)), lambda count, i: count * (n - i) // (i + 1), initial=1)
+    if any(count > cap for count in counts):
+        raise CapExceededError(f"C({n},{m}) exceeds the enumeration cap {cap}")
 
 
 def _node_budget():

@@ -20,6 +20,7 @@ from agreeable import (
 
 from agreeable import agreeability
 from agreeable.agreeability import _largest_deficient_size, _subset_search, platform_masks
+from agreeable.errors import _require_subset_cap
 from agreeable.oracles import brute_platform_masks
 
 from strategies import BOX2_30, BOX3_30, LINE_200, line_societies, pooled_societies
@@ -86,11 +87,14 @@ def test_requires_enough_voters():
 
 
 def test_cap_via_environment(monkeypatch, seven_voter_society):
+    # (3,3) is negative (D_3 = 4), so the subset search runs and meets the
+    # C(7,3) = 35 gate; a positive line verdict never reaches it.
     monkeypatch.setenv("AGREE_MAX_SUBSETS", "10")
     with pytest.raises(CapExceededError):
-        is_km_agreeable(seven_voter_society, AgreeParams(2, 3))
+        is_km_agreeable(seven_voter_society, AgreeParams(3, 3))
     monkeypatch.setenv("AGREE_MAX_SUBSETS", "100")
-    assert is_km_agreeable(seven_voter_society, AgreeParams(2, 3)).agreeable
+    result = is_km_agreeable(seven_voter_society, AgreeParams(3, 3))
+    assert (result.agreeable, result.witness) == (False, ("v1", "v2", "v4"))
 
 
 @given(pooled_societies(max_n=11, kinds=("line", "candidates", 1)))
@@ -132,6 +136,46 @@ def test_positive_one_box_verdict_needs_no_subset_search(monkeypatch):
     monkeypatch.setattr(agreeability, "_subset_search", no_search)
     assert _largest_deficient_size(society, 4) < 24
     assert is_km_agreeable(society, AgreeParams(4, 24)).agreeable
+
+
+def _six_thousand_voter_line():
+    # `generate random --kind line --n 6000 --seed 3 --coord-max 18000
+    # --max-length 12`, the line of the CI's large positive check.
+    return random_society("line", 6000, 3, RandomConfig(coord_min=0, coord_max=18000, min_length=0, max_length=12))
+
+
+def test_positive_verdicts_past_the_subset_cap_need_no_search(monkeypatch):
+    line = _six_thousand_voter_line()
+    slate = restrict_to_candidates(line, list(range(0, 18001, 2)))
+
+    def no_search(*args):
+        raise RuntimeError("the subset search ran")
+
+    monkeypatch.setattr(agreeability, "_subset_search", no_search)
+    assert (_largest_deficient_size(line, 3), _largest_deficient_size(slate, 3)) == (3720, 3902)
+    for society in (line, slate):
+        assert is_km_agreeable(society, AgreeParams(3, 4000)).agreeable
+
+
+def test_subset_cap_comes_before_the_masks(monkeypatch):
+    # (3,3000) is negative on the line (D_3 = 3 720), so the search runs;
+    # C(6000,3000) refuses it before any platform mask is built.
+    monkeypatch.delenv("AGREE_MAX_SUBSETS", raising=False)
+
+    def no_masks(*args):
+        raise RuntimeError("the platform masks were built")
+
+    monkeypatch.setattr(agreeability, "platform_masks", no_masks)
+    with pytest.raises(CapExceededError, match=r"^C\(6000,3000\) exceeds the enumeration cap 2000000$"):
+        is_km_agreeable(_six_thousand_voter_line(), AgreeParams(3, 3000))
+
+
+def test_subset_cap_message_is_short_at_any_size(monkeypatch):
+    # C(20000,10000) has over 6 000 digits, past Python's int-to-str limit.
+    monkeypatch.delenv("AGREE_MAX_SUBSETS", raising=False)
+    with pytest.raises(CapExceededError) as caught:
+        _require_subset_cap(20000, 10000)
+    assert str(caught.value) == "C(20000,10000) exceeds the enumeration cap 2000000"
 
 
 def test_pigeonhole_examples():

@@ -204,6 +204,13 @@ def test_two_platform_cover_superagreeable_counts_everyone():
     assert cover.count_x == society.n
 
 
+def test_two_platform_cover_past_the_subset_cap():
+    # C(300,3) is past the subset cap, but (2,3) is positive on any line
+    # whose spans share a point, so the track greedy answers it.
+    cover = two_platform_cover(linear_society([(i, i + 1000) for i in range(300)]))
+    assert (cover.x, cover.y, cover.count_x, cover.count_y) == (299, 1000, 300, 300)
+
+
 def test_two_platform_cover_majority(seven_voter_society):
     cover = two_platform_cover(seven_voter_society)
     assert cover.best_count >= 4

@@ -297,11 +297,16 @@ def test_check_refuses_box_society_past_the_voter_cap(tmp_path, capsys):
 
 
 def test_check_refuses_one_box_society_past_the_voter_cap(tmp_path, capsys):
-    # A 1-box society takes the track greedy, but only after the box caps.
+    # A positive 1-box verdict comes from the track greedy at any size, but
+    # 31 pairwise-disjoint 1-boxes are not (2,3)-agreeable: the subset
+    # search builds the masks, which meets the box voter cap.
     path = str(tmp_path / "one_boxes.json")
-    save_society(box_society([((0, 1),)] * 31), path)
+    save_society(box_society([((2 * i, 2 * i + 1),) for i in range(31)]), path)
     code, out, err = run_cli(["check", path, "--k", "2", "--m", "3"], capsys=capsys)
     assert (code, out, err) == (2, "", "error: box societies are capped at 30 voters, got 31\n")
+    save_society(box_society([((0, 1),)] * 31), path)
+    code, out, err = run_cli(["check", path, "--k", "2", "--m", "3"], capsys=capsys)
+    assert (code, out, err) == (0, "(2,3)-agreeable: yes\n", "")
 
 
 def test_bounds_command(capsys):

@@ -205,8 +205,12 @@ def _outcome(parse, text):
     return type(value), value
 
 
+# No "e": the program never passes an exponent string to _fraction (it goes
+# to the digit-capped decimal reader), and _fraction forwards one to
+# Fraction, so such a draw only compares Fraction with itself, at the cost
+# of expanding its exponent ('7e+76531_14' takes seconds).
 fraction_texts = st.one_of(
-    st.text(alphabet="0123456789+-  \t_/.e²١", max_size=12),
+    st.text(alphabet="0123456789+-  \t_/.²١", max_size=12),
     st.builds(
         "{}{}{}{}".format,
         st.sampled_from(("", "-", "+", " ", "--")),
