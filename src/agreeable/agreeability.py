@@ -73,7 +73,7 @@ def platform_masks(society: Society) -> list[int]:
     decreasing voter count (ties by value); every platform's voter set lies
     in one of them.  Built once per society and cached; each call returns a
     fresh list.  Raises ValueError for a malformed society and
-    CapExceededError past the box caps.
+    CapExceededError past the box caps (boxes with d >= 2).
     """
     return list(society._cliques)
 
@@ -122,7 +122,8 @@ def _largest_deficient_size(society: Society, k: int) -> int:
 def _subset_search(society: Society, params: AgreeParams) -> AgreeabilityResult:
     """The depth-first search of the module docstring, on a valid society
     with at least m voters; raises CapExceededError past the C(n, m) cap,
-    the box caps (from the masks) or the node budget, in that order."""
+    the box caps (from the masks, for d >= 2) or the node budget, in that
+    order."""
     n = society.n
     k, m = params.k, params.m
     _require_subset_cap(n, m)

@@ -13,11 +13,14 @@ exactly and no Fraction is hashed or compared while sorting and
 bisecting.  The candidate tally reads the same view, each voter's first and
 last approved candidate index (bisected once per society, or handed over by
 ``restrict_to_candidates``), into a difference array, O(n log c + c) for c
-candidates.  Box depth is the size of the largest of the society's cached
+candidates.  A 1-box is the line it encodes and takes the sweep.  Box
+depth for d >= 2 is the size of the largest of the society's cached
 maximal cliques, capped at 30 voters and 3 dimensions.  Those come from the
 line's one-pass clique sweep, run axis by axis on the voters of each clique
 so far: up to n^(d-1) restricted sweeps, then a maximality test of one
-neighbourhood AND per member; good sets are cliques on those neighbourhoods.
+closed-neighbourhood AND per member.  The neighbourhoods come from the
+runs of first-axis spans each voter meets, and good sets are cliques on
+them.
 
 Closed-interval semantics enter the computation in two places: the line
 sweep counts, at a left end, only the right ends strictly below it, so
@@ -32,8 +35,10 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cache
 
 from ._frozen import Frozen
+from .errors import _require_box_caps
 from .society import (
     BoxSpectrum,
     CandidateSpectrum,
@@ -43,7 +48,6 @@ from .society import (
     Society,
     _coord_to_json,
     _members,
-    _neighbourhoods,
     coord_str,
     require_valid,
 )
@@ -142,18 +146,13 @@ def _box_agreement(society: Society) -> AgreementReport:
 
 
 def agreement(society: Society) -> AgreementReport:
-    """Compute the agreement number, witnesses and proportion of a society."""
+    """Compute the agreement number, witnesses and proportion of a society.
+
+    A line or a 1-box takes the sweep, on the intervals or the boxes' only
+    sides; a 1-box reports each maximal run's one lower end as a grid point.
+    """
     require_valid(society)
     spectrum = society.spectrum
-
-    if isinstance(spectrum, LineSpectrum):
-        lo_keys, hi_keys = society._spans
-        intervals = [v.approval for v in society.voters if v.approval is not None]
-        if len(intervals) < society.n:
-            lo_keys = [key for key in lo_keys if key is not None]
-            hi_keys = [key for key in hi_keys if key is not None]
-        best, witnesses = _sweep(intervals, lo_keys, hi_keys)
-        return AgreementReport(best, society.n, witnesses)
 
     if isinstance(spectrum, CandidateSpectrum):
         # Each voter approves a contiguous run of candidates: +1 at its start,
@@ -169,7 +168,20 @@ def agreement(society: Society) -> AgreementReport:
         witnesses = tuple(c for c in spectrum.candidates if tally[c] == best)
         return AgreementReport(best, society.n, witnesses, per_candidate=tally)
 
-    return _box_agreement(society)
+    if spectrum.dimension >= 2:
+        return _box_agreement(society)
+
+    lo_keys, hi_keys = society._spans
+    intervals = [v.approval for v in society.voters if v.approval is not None]
+    if isinstance(spectrum, BoxSpectrum):
+        intervals = [box.sides[0] for box in intervals]
+    if len(intervals) < society.n:
+        lo_keys = [key for key in lo_keys if key is not None]
+        hi_keys = [key for key in hi_keys if key is not None]
+    best, witnesses = _sweep(intervals, lo_keys, hi_keys)
+    if isinstance(spectrum, BoxSpectrum):
+        witnesses = tuple((run.lo,) for run in witnesses)
+    return AgreementReport(best, society.n, witnesses)
 
 
 def _consensus_ends(society: Society) -> tuple[Coord, Coord]:
@@ -248,8 +260,10 @@ def good_set_count(society: Society, size: int | None = None) -> int:
     counting argument feeds the fractional intersection bound.  A subset
     containing an empty approval set is never counted.  By Helly number 2
     these are the ``size``-cliques of the agreement graph, counted on the
-    closed neighbourhoods of ``Society._cliques``, each clique extended by
-    later voters only; under the box caps.
+    closed neighbourhoods ``Society._near``, each clique extended by later
+    voters only.  Each (later voters, size) count is made once, but the count
+    itself can be exponential in n, so the box caps apply at every
+    dimension, 1-boxes included.
     """
     require_valid(society)
     spectrum = society.spectrum
@@ -261,8 +275,10 @@ def good_set_count(society: Society, size: int | None = None) -> int:
         raise ValueError(f"good_set_count needs size >= 1, got size={size}")
     if society.n <= spectrum.dimension:
         raise ValueError(f"need more than d={spectrum.dimension} voters, got {society.n}")
-    near = _neighbourhoods(society._cliques, society.n)
+    _require_box_caps(society.n, spectrum.dimension)
+    near = society._near
 
+    @cache
     def count(later: int, size: int) -> int:
         if size == 1:
             return later.bit_count()

@@ -11,7 +11,8 @@ import os
 DEFAULT_SUBSET_CAP = 2_000_000
 _NODE_BUDGET_FACTOR = 8
 # Box work grows with n^d: up to n^d maximal cliques, each a mask the subset
-# search scans at every node.
+# search scans at every node.  These caps hold for boxes with d >= 2, and in
+# good_set_count at every dimension: its count can be exponential in n.
 MAX_BOX_VOTERS = 30
 MAX_BOX_DIMENSION = 3
 # Each bisection step of an enclosure raises an integer to the degree: at

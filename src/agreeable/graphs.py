@@ -8,24 +8,23 @@ the first-fit coloring below realizes that equality constructively.
 Both read the society's integer span view, ``Society._spans`` (per voter,
 the indices of the first and last approved candidate on a slate, else the
 exact order keys of the ends of the interval or of a box's first side), and
-run on sorted ints: the graph in O(n log n + E) for E edges, the coloring in
-O(n log n), two sorts and one pointer.  For boxes with d >= 2 the graph
-filters the R pairs that meet on the first axis, O(n log n + R d), and the
-coloring refuses them.  Edges are normalized as they are built, so the Graph
-is made without re-checking them.  An election from
-``restrict_to_candidates`` arrives with its span view and its validation, so
-neither is computed again here.
+run on sorted ints.  The graph's edges are ``society._meetings``, the runs
+of first-axis spans each voter meets, filtered by the other sides for boxes
+with d >= 2: O(n log n + R d) for R first-axis pairs.  The coloring takes
+O(n log n), two sorts and one pointer, and refuses boxes with d >= 2.
+Edges are normalized as they are built, so the Graph is made without
+re-checking them.  An election from ``restrict_to_candidates`` arrives with
+its span view and its validation, so neither is computed again here.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from bisect import bisect_right
 from functools import cached_property
 
 from ._frozen import Frozen, set_field
-from .society import Society, require_valid
+from .society import Society, _meetings, require_valid
 
 
 class Graph(Frozen):
@@ -134,24 +133,12 @@ class Coloring(Frozen):
 
 
 def agreement_graph(society: Society) -> Graph:
-    """Graph on the voters with edges between intersecting approval sets.
-
-    Each voter with a span, by left span end, meets the later voters in that
-    order whose approval sets meet its own: a contiguous run of spans
-    starting at most at its right end, filtered by the other sides for
-    boxes with d >= 2.  O(n log n + R d) for R first-axis pairs.
-    """
+    """Graph on the voters with edges between intersecting approval sets:
+    the meeting pairs of ``society._meetings``, O(n log n + R d) for R
+    first-axis pairs."""
     require_valid(society)
-    los, his = society._spans
-    order = sorted([i for i, lo in enumerate(los) if lo is not None], key=los.__getitem__)
-    starts = [los[i] for i in order]
-    runs = [order[p + 1 : bisect_right(starts, his[i], p + 1)] for p, i in enumerate(order)]
-    for axis in range(1, society.spectrum.dimension):
-        lo = [None if v.approval is None else v.approval.sides[axis].lo for v in society.voters]
-        hi = [None if v.approval is None else v.approval.sides[axis].hi for v in society.voters]
-        runs = [[j for j in run if lo[j] <= hi[i] and lo[i] <= hi[j]] for i, run in zip(order, runs)]
     ids = society.voter_ids()
-    edges = frozenset([(ids[i], ids[j]) if i < j else (ids[j], ids[i]) for i, run in zip(order, runs) for j in run])
+    edges = frozenset([(ids[i], ids[j]) if i < j else (ids[j], ids[i]) for i, run in _meetings(society) for j in run])
     return Graph._trusted(ids, edges)
 
 

@@ -214,19 +214,19 @@ class Society(Frozen):
         Intervals, candidate runs and boxes have Helly number 2, so these
         are the maximal voter sets that share a platform; voters approving
         nothing are in none.  One :func:`_interval_cliques` sweep of
-        :attr:`_spans`; for boxes with d >= 2, each clique so far is split by
-        the next axis's sweep restricted to its voters.  A maximal clique
-        shares a point p, so it lies in the first-axis clique holding p's
-        first coordinate, then in a next-axis clique inside that one, and so
-        on.  So does every meeting pair: the candidates give each voter's
-        closed neighbourhood, and a candidate is maximal iff its members'
-        neighbourhoods meet in it alone.  Up to n^(d-1) restricted sweeps,
+        :attr:`_spans`, which on a line, a slate or a 1-box is the answer.
+        For boxes with d >= 2, under the box caps, each clique so far is
+        split by the next axis's sweep restricted to its voters.  A maximal
+        clique shares a point p, so it lies in the first-axis clique holding
+        p's first coordinate, then in a next-axis clique inside that one, and
+        so on; a candidate is maximal iff its members' closed neighbourhoods
+        (:attr:`_near`) meet in it alone.  Up to n^(d-1) restricted sweeps,
         then O(|C|) mask ANDs per candidate C.  Raises ValueError for a
         malformed society and CapExceededError past the box caps.
         """
         require_valid(self)
         d = self.spectrum.dimension
-        if isinstance(self.spectrum, BoxSpectrum):
+        if d >= 2:
             _require_box_caps(self.n, d)
         cliques = _interval_cliques(*self._spans)
         for axis in range(1, d):
@@ -239,8 +239,7 @@ class Society(Frozen):
         cliques = sorted(cliques, key=lambda m: (-m.bit_count(), m))
         if d == 1:
             return tuple(cliques)
-        near = _neighbourhoods(cliques, self.n)
-        return tuple(c for c in cliques if reduce(operator.and_, map(near.__getitem__, _members(c))) == c)
+        return tuple(c for c in cliques if reduce(operator.and_, map(self._near.__getitem__, _members(c))) == c)
 
     @cached_property
     def _spans(self) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
@@ -266,6 +265,17 @@ class Society(Frozen):
         if isinstance(spec, BoxSpectrum):
             return _key_spans([None if v.approval is None else v.approval.sides[0] for v in self.voters])
         return _key_spans([v.approval for v in self.voters])
+
+    @cached_property
+    def _near(self) -> tuple[int, ...]:
+        """Each voter's closed neighbourhood in the agreement graph as a
+        bitmask, built on first use from :func:`_meetings`: 0 for a voter
+        approving nothing.  O(n log n + R d) for R first-axis pairs."""
+        near = [0 if lo is None else 1 << i for i, lo in enumerate(self._spans[0])]
+        for i, run in _meetings(self):
+            for j in run:
+                near[i], near[j] = near[i] | 1 << j, near[j] | 1 << i
+        return tuple(near)
 
     def voter_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.voters)
@@ -447,14 +457,24 @@ def _members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _neighbourhoods(cliques, n: int) -> list[int]:
-    """Each voter's closed neighbourhood as a bitmask, when every meeting
-    pair lies in one of ``cliques``: the union of the cliques holding it."""
-    near = [0] * n
-    for clique in cliques:
-        for i in _members(clique):
-            near[i] |= clique
-    return near
+def _meetings(society: Society) -> Iterator[tuple[int, list[int]]]:
+    """Every pair of voters whose approval sets meet, once.
+
+    Each voter with a span, by left span end, comes with the later voters in
+    that order whose approval sets meet its own: a contiguous run of
+    :attr:`Society._spans` starting at most at its right end, filtered by
+    the other sides for boxes with d >= 2.  O(n log n + R d) for R
+    first-axis pairs.
+    """
+    los, his = society._spans
+    order = sorted([i for i, lo in enumerate(los) if lo is not None], key=los.__getitem__)
+    starts = [los[i] for i in order]
+    runs = [order[p + 1 : bisect_right(starts, his[i], p + 1)] for p, i in enumerate(order)]
+    for axis in range(1, society.spectrum.dimension):
+        lo = [None if v.approval is None else v.approval.sides[axis].lo for v in society.voters]
+        hi = [None if v.approval is None else v.approval.sides[axis].hi for v in society.voters]
+        runs = [[j for j in run if lo[j] <= hi[i] and lo[i] <= hi[j]] for i, run in zip(order, runs)]
+    return zip(order, runs)
 
 
 def approved_candidates(interval: Interval | None, spectrum: CandidateSpectrum) -> tuple[Coord, ...]:

@@ -307,6 +307,12 @@ def test_platform_masks_match_brute_force(society):
     assert platform_masks(society) == brute_platform_masks(society)
 
 
+def test_one_box_masks_are_the_line_masks_past_the_box_voter_cap():
+    intervals = [(2 * i, 2 * i + 1) for i in range(31)]
+    masks = platform_masks(box_society([(iv,) for iv in intervals]))
+    assert masks == platform_masks(linear_society(intervals)) == [1 << i for i in range(31)]
+
+
 def test_box_masks_drop_a_clique_inside_another():
     # The first-axis cliques are {v1, v3} and {v2, v3}; on the second axis v2
     # and v3 are apart, which splits the latter into {v2} and {v3}, and {v3}

@@ -1,4 +1,8 @@
+import math
+import operator
+import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +26,7 @@ from agreeable import (
 )
 from agreeable.agreeability import platform_masks
 from agreeable.society import _order_keys
-from agreeable.oracles import brute_box_depth, brute_good_set_count, brute_line_agreement
+from agreeable.oracles import brute_box_depth, brute_good_set_count, brute_line_agreement, brute_platform_masks
 
 from strategies import (
     BOX2_30,
@@ -265,6 +269,27 @@ def test_good_set_count_matches_platform_masks(society):
     for size in range(1, spectrum.dimension + 3):
         assert good_set_count(society, size) == brute_good_set_count(society, size), size
     assert good_set_count(society) == good_set_count(society, spectrum.dimension + 1)
+
+
+@given(pooled_societies(kinds=(1, 2, 3)))
+@example(BOX2_30)
+@example(BOX3_30)
+@settings(max_examples=200, deadline=None)
+def test_neighbourhoods_are_the_unions_of_the_platform_masks(society):
+    masks = brute_platform_masks(society)
+    expected = [reduce(operator.or_, [m for m in masks if m >> i & 1], 0) for i in range(society.n)]
+    assert list(society._near) == expected
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("size", [10, 15, 30])
+def test_good_set_count_of_identical_boxes_is_binomial(dimension, size):
+    # Every subset is good: the count visits each (later voters, size) pair
+    # once, not each of the C(30, size - 1) cliques below it.
+    society = box_society([((0, 1),) * dimension] * 30)
+    started = time.perf_counter()
+    assert good_set_count(society, size) == math.comb(30, size)
+    assert time.perf_counter() - started < 1
 
 
 @pytest.mark.parametrize("size", [0, -1])

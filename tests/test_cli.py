@@ -296,17 +296,26 @@ def test_check_refuses_box_society_past_the_voter_cap(tmp_path, capsys):
     assert "box societies are capped at 30 voters, got 31" in err
 
 
-def test_check_refuses_one_box_society_past_the_voter_cap(tmp_path, capsys):
-    # A positive 1-box verdict comes from the track greedy at any size, but
-    # 31 pairwise-disjoint 1-boxes are not (2,3)-agreeable: the subset
-    # search builds the masks, which meets the box voter cap.
+def test_check_answers_one_box_society_past_the_box_voter_cap(tmp_path, capsys):
+    # A 1-box is the line it encodes, so the box voter cap does not apply:
+    # 31 pairwise-disjoint 1-boxes are not (2,3)-agreeable, and the subset
+    # search finds the witness behind the C(n, m) gate, as on a line.
     path = str(tmp_path / "one_boxes.json")
     save_society(box_society([((2 * i, 2 * i + 1),) for i in range(31)]), path)
     code, out, err = run_cli(["check", path, "--k", "2", "--m", "3"], capsys=capsys)
-    assert (code, out, err) == (2, "", "error: box societies are capped at 30 voters, got 31\n")
+    assert (code, out, err) == (0, "(2,3)-agreeable: no (witness v1,v2,v3)\n", "")
     save_society(box_society([((0, 1),)] * 31), path)
     code, out, err = run_cli(["check", path, "--k", "2", "--m", "3"], capsys=capsys)
     assert (code, out, err) == (0, "(2,3)-agreeable: yes\n", "")
+
+
+def test_analyze_one_box_society_past_the_box_voter_cap(tmp_path, capsys):
+    path = str(tmp_path / "one_boxes.json")
+    save_society(box_society([((0, 1),)] * 31), path)
+    code, out, err = run_cli(["analyze", path, "--format", "json"], capsys=capsys)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert (obj["agreement_number"], obj["witnesses"]) == (31, [[0]])
 
 
 def test_bounds_command(capsys):
