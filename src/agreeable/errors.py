@@ -7,7 +7,8 @@ import itertools
 import os
 
 # C(n, m) past this refuses a subset search or the clique oracle (it is the
-# AGREE_MAX_SUBSETS knob); the search stops past _NODE_BUDGET_FACTOR x that.
+# AGREE_MAX_SUBSETS knob, read as int() reads it and refused below 1); the
+# search stops past _NODE_BUDGET_FACTOR x that.
 DEFAULT_SUBSET_CAP = 2_000_000
 _NODE_BUDGET_FACTOR = 8
 # Box work grows with n^d: up to n^d maximal cliques, each a mask the subset
@@ -26,7 +27,13 @@ class CapExceededError(RuntimeError):
 
 def subset_cap() -> int:
     raw = os.environ.get("AGREE_MAX_SUBSETS")
-    return int(raw) if raw else DEFAULT_SUBSET_CAP
+    try:
+        cap = int(raw) if raw else DEFAULT_SUBSET_CAP
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"AGREE_MAX_SUBSETS must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _require_subset_cap(n: int, m: int) -> None:

@@ -9,8 +9,9 @@ Both read the society's integer span view, ``Society._spans`` (per voter,
 the indices of the first and last approved candidate on a slate, else the
 exact order keys of the ends of the interval or of a box's first side), and
 run on sorted ints.  The graph's edges are ``society._meetings``, the runs
-of first-axis spans each voter meets, filtered by the other sides for boxes
-with d >= 2: O(n log n + R d) for R first-axis pairs.  The coloring takes
+of first-axis spans each voter meets, filtered by the order keys of the
+other axes (``Society._axes``) for boxes with d >= 2: O(n log n + R d) for
+R first-axis pairs, and no coordinate compared.  The coloring takes
 O(n log n), two sorts and one pointer, and refuses boxes with d >= 2.
 Edges are normalized as they are built, so the Graph is made without
 re-checking them.  An election from ``restrict_to_candidates`` arrives with

@@ -216,21 +216,21 @@ class Society(Frozen):
         nothing are in none.  One :func:`_interval_cliques` sweep of
         :attr:`_spans`, which on a line, a slate or a 1-box is the answer.
         For boxes with d >= 2, under the box caps, each clique so far is
-        split by the next axis's sweep restricted to its voters.  A maximal
-        clique shares a point p, so it lies in the first-axis clique holding
-        p's first coordinate, then in a next-axis clique inside that one, and
-        so on; a candidate is maximal iff its members' closed neighbourhoods
-        (:attr:`_near`) meet in it alone.  Up to n^(d-1) restricted sweeps,
-        then O(|C|) mask ANDs per candidate C.  Raises ValueError for a
-        malformed society and CapExceededError past the box caps.
+        split by the next axis's sweep (:attr:`_axes`) on its voters.  A
+        maximal clique shares a point p, so it lies in the first-axis clique
+        holding p's first coordinate, then in a next-axis clique inside that
+        one, and so on; a candidate is maximal iff its members' closed
+        neighbourhoods (:attr:`_near`) meet in it alone.  Up to n^(d-1)
+        restricted sweeps, then O(|C|) mask ANDs per candidate C.  Raises
+        ValueError for a malformed society and CapExceededError past the caps.
         """
         require_valid(self)
         d = self.spectrum.dimension
         if d >= 2:
             _require_box_caps(self.n, d)
-        cliques = _interval_cliques(*self._spans)
-        for axis in range(1, d):
-            los, his = _key_spans([None if v.approval is None else v.approval.sides[axis] for v in self.voters])
+        first, *further = self._axes
+        cliques = _interval_cliques(*first)
+        for los, his in further:
             cliques = {
                 part
                 for clique in cliques
@@ -261,10 +261,20 @@ class Society(Frozen):
         require_valid(self)
         spec = self.spectrum
         if isinstance(spec, CandidateSpectrum):
-            return _slate_spans([v.approval for v in self.voters], spec.candidates)
+            return tuple(zip(*[_candidate_range(v.approval, spec.candidates) or (None, None) for v in self.voters]))
         if isinstance(spec, BoxSpectrum):
             return _key_spans([None if v.approval is None else v.approval.sides[0] for v in self.voters])
         return _key_spans([v.approval for v in self.voters])
+
+    @cached_property
+    def _axes(self) -> tuple[tuple[tuple[int | None, ...], tuple[int | None, ...]], ...]:
+        """The span view of every axis, built on first use: :attr:`_spans`,
+        then the :func:`_key_spans` of each further box side, each axis keyed
+        by its own denominators.  Raises ValueError for a malformed society."""
+        axes = [self._spans]
+        for axis in range(1, self.spectrum.dimension):
+            axes.append(_key_spans([None if v.approval is None else v.approval.sides[axis] for v in self.voters]))
+        return tuple(axes)
 
     @cached_property
     def _near(self) -> tuple[int, ...]:
@@ -421,13 +431,6 @@ def _candidate_range(interval: Interval | None, candidates: tuple[Coord, ...]) -
     return (i, j) if i <= j else None
 
 
-def _slate_spans(intervals, candidates: tuple[Coord, ...]) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
-    """:attr:`Society._spans` of intervals on a slate: each one's
-    :func:`_candidate_range`, as two parallel tuples."""
-    spans = [_candidate_range(iv, candidates) or (None, None) for iv in intervals]
-    return tuple(span[0] for span in spans), tuple(span[1] for span in spans)
-
-
 def _interval_cliques(los, his) -> list[int]:
     """The maximal cliques of spans, by one pass over the P distinct left ends.
 
@@ -463,16 +466,14 @@ def _meetings(society: Society) -> Iterator[tuple[int, list[int]]]:
     Each voter with a span, by left span end, comes with the later voters in
     that order whose approval sets meet its own: a contiguous run of
     :attr:`Society._spans` starting at most at its right end, filtered by
-    the other sides for boxes with d >= 2.  O(n log n + R d) for R
-    first-axis pairs.
+    the other axes of :attr:`Society._axes` for boxes with d >= 2, so only
+    order keys are compared.  O(n log n + R d) for R first-axis pairs.
     """
-    los, his = society._spans
+    (los, his), *further = society._axes
     order = sorted([i for i, lo in enumerate(los) if lo is not None], key=los.__getitem__)
     starts = [los[i] for i in order]
     runs = [order[p + 1 : bisect_right(starts, his[i], p + 1)] for p, i in enumerate(order)]
-    for axis in range(1, society.spectrum.dimension):
-        lo = [None if v.approval is None else v.approval.sides[axis].lo for v in society.voters]
-        hi = [None if v.approval is None else v.approval.sides[axis].hi for v in society.voters]
+    for lo, hi in further:
         runs = [[j for j in run if lo[j] <= hi[i] and lo[i] <= hi[j]] for i, run in zip(order, runs)]
     return zip(order, runs)
 

@@ -317,14 +317,7 @@ def run_box_suite(trials: int, seed: int, failure_dir: str | None = None) -> lis
         shape_rng = random.Random(child_seed(seed, "box-shape", t))
         d = 1 if t % 2 else 2
         n = shape_rng.randint(2, 12 if d == 1 else 10)
-        base = (SPREAD, CONCENTRATED)[t % 4 // 2]
-        config = RandomConfig(
-            coord_min=base.coord_min,
-            coord_max=base.coord_max,
-            min_length=base.min_length,
-            max_length=base.max_length,
-            dimension=d,
-        )
+        config = (SPREAD, CONCENTRATED)[t % 4 // 2]  # dimension 2; a line draw ignores it
         s_seed = child_seed(seed, "box-society", t)
         if d == 1:
             line = random_society("line", n, s_seed, config)

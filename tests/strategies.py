@@ -79,6 +79,30 @@ huge_denominator_coords = st.builds(Fraction, st.integers(-(10**41), 10**41), st
 
 
 @st.composite
+def near_miss_boxes(draw, dimensions=(2, 3), max_n=8):
+    """Boxes that all meet on an integer first axis and nearly miss on the others.
+
+    On each further axis one voter's side ends at a/b and another's starts
+    at its Farey neighbour c/d, 1/(bd) above it, or at a/b itself; every
+    other end comes from those two and from huge-denominator coordinates.
+    So each further axis needs a far finer order key than the first.
+    """
+    dimension = draw(st.sampled_from(dimensions))
+    n = draw(st.integers(2, max_n))
+    sides = [[Interval(-draw(st.integers(0, 3)), draw(st.integers(0, 3)))] for _ in range(n)]
+    for _ in range(1, dimension):
+        left, right = draw(farey_neighbours())
+        start = draw(st.sampled_from((left, right)))
+        pool = [left, start] + draw(st.lists(huge_denominator_coords, min_size=1, max_size=3))
+        ends = [(min(pool), left), (start, max(pool))]
+        ends += [sorted(draw(st.sampled_from(pool)) for _ in range(2)) for _ in range(n - 2)]
+        for voter, (lo, hi) in zip(sides, ends):
+            voter.append(Interval(lo, hi))
+    order = draw(st.permutations(sides))
+    return Society(BoxSpectrum(dimension), tuple(Voter(f"v{i + 1}", Box(tuple(s))) for i, s in enumerate(order)))
+
+
+@st.composite
 def crowded_line_societies(draw, max_n=10):
     """Line societies whose endpoints come from a few nearly equal rationals.
 

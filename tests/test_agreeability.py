@@ -16,14 +16,16 @@ from agreeable import (
     pigeonhole_sufficient,
     random_society,
     restrict_to_candidates,
+    save_society,
 )
 
 from agreeable import agreeability
 from agreeable.agreeability import _largest_deficient_size, _subset_search, platform_masks
-from agreeable.errors import _require_subset_cap
+from agreeable.cli import main
+from agreeable.errors import _require_subset_cap, subset_cap
 from agreeable.oracles import brute_platform_masks
 
-from strategies import BOX2_30, BOX3_30, LINE_200, line_societies, pooled_societies
+from strategies import BOX2_30, BOX3_30, LINE_200, line_societies, near_miss_boxes, pooled_societies
 
 
 def test_params_validation():
@@ -95,6 +97,33 @@ def test_cap_via_environment(monkeypatch, seven_voter_society):
     monkeypatch.setenv("AGREE_MAX_SUBSETS", "100")
     result = is_km_agreeable(seven_voter_society, AgreeParams(3, 3))
     assert (result.agreeable, result.witness) == (False, ("v1", "v2", "v4"))
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-1", "2.5"])
+def test_malformed_cap_names_the_knob(monkeypatch, capsys, tmp_path, raw):
+    # Seven disjoint intervals are not (2,3)-agreeable, so the search reads the cap.
+    society = linear_society([(2 * i, 2 * i + 1) for i in range(7)])
+    monkeypatch.setenv("AGREE_MAX_SUBSETS", raw)
+    message = f"AGREE_MAX_SUBSETS must be a positive integer, got {raw!r}"
+    with pytest.raises(ValueError) as excinfo:
+        is_km_agreeable(society, AgreeParams(2, 3))
+    assert str(excinfo.value) == message
+    path = str(tmp_path / "disjoint.json")
+    save_society(society, path)
+    assert main(["check", path, "--k", "2", "--m", "3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("raw", ["2_000_000", " 7 ", "35"])
+def test_cap_reads_what_int_reads(monkeypatch, raw):
+    society = linear_society([(2 * i, 2 * i + 1) for i in range(7)])
+    monkeypatch.setenv("AGREE_MAX_SUBSETS", raw)
+    assert subset_cap() == int(raw)
+    if int(raw) >= 35:  # C(7,3) = 35
+        assert not is_km_agreeable(society, AgreeParams(2, 3)).agreeable
+    else:
+        with pytest.raises(CapExceededError, match="C\\(7,3\\) exceeds the enumeration cap 7"):
+            is_km_agreeable(society, AgreeParams(2, 3))
 
 
 @given(pooled_societies(max_n=11, kinds=("line", "candidates", 1)))
@@ -298,7 +327,7 @@ def test_agreeability_matches_subset_enumeration_all_kinds():
             assert agreement(society.induced(result.witness)).agreement_number < k
 
 
-@given(pooled_societies())
+@given(st.one_of(pooled_societies(), near_miss_boxes()))
 @example(LINE_200)
 @example(BOX2_30)
 @example(BOX3_30)

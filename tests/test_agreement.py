@@ -37,6 +37,7 @@ from strategies import (
     farey_neighbours,
     huge_denominator_coords,
     line_societies,
+    near_miss_boxes,
     pooled_societies,
 )
 
@@ -222,6 +223,20 @@ def test_two_platform_cover_majority(seven_voter_society):
         assert v.approval.contains(cover.x) or v.approval.contains(cover.y)
 
 
+@pytest.mark.parametrize(
+    "intervals", [[(0, 1)], [(0, 1), (2, 3)], [(2, 3), (0, 1)], [(0, 2), (1, 3)], [(0, 1), (1, 2)]]
+)
+def test_two_platform_cover_below_three_voters(intervals):
+    # (2,3)-agreeability holds vacuously below three voters, and x = max lo,
+    # y = min hi still meet every interval.
+    society = linear_society(intervals)
+    cover = two_platform_cover(society)
+    assert (cover.x, cover.y) == (max(lo for lo, _ in intervals), min(hi for _, hi in intervals))
+    assert cover.best_count >= -(-society.n // 2)
+    for v in society.voters:
+        assert v.approval.contains(cover.x) or v.approval.contains(cover.y)
+
+
 def test_two_platform_cover_rejects_non_agreeable():
     with pytest.raises(ValueError, match="not \\(2,3\\)-agreeable"):
         two_platform_cover(linear_society([(0, 1), (2, 3), (4, 5)]))
@@ -271,7 +286,7 @@ def test_good_set_count_matches_platform_masks(society):
     assert good_set_count(society) == good_set_count(society, spectrum.dimension + 1)
 
 
-@given(pooled_societies(kinds=(1, 2, 3)))
+@given(st.one_of(pooled_societies(kinds=(1, 2, 3)), near_miss_boxes()))
 @example(BOX2_30)
 @example(BOX3_30)
 @settings(max_examples=200, deadline=None)

@@ -28,7 +28,7 @@ from agreeable.generators import RandomConfig
 from agreeable.graphs import Graph, graph_from_edges
 from agreeable.oracles import brute_clique, brute_first_fit_coloring, brute_interval_graph
 
-from strategies import box_societies, line_societies, one_d_societies
+from strategies import box_societies, line_societies, near_miss_boxes, one_d_societies
 
 
 def test_seven_voter_graph(seven_voter_society):
@@ -170,7 +170,7 @@ def test_wide_boxes_have_no_interval_view(dimension):
 @given(data=st.data())
 @settings(max_examples=150)
 def test_box_graph_matches_pairwise_oracle(dimension, data):
-    society = data.draw(box_societies(dimension=dimension, max_n=12))
+    society = data.draw(st.one_of(box_societies(dimension=dimension, max_n=12), near_miss_boxes((dimension,))))
     assert agreement_graph(society) == brute_interval_graph(society)
 
 
