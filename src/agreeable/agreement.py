@@ -99,15 +99,17 @@ class AgreementReport(Frozen):
 def _sweep(intervals: list[Interval], lo_keys, hi_keys) -> tuple[int, tuple[Interval, ...]]:
     """Endpoint sweep over closed intervals.
 
-    ``lo_keys[i]`` and ``hi_keys[i]`` are the exact integer order keys of
-    ``intervals[i]``'s ends (``Society._spans``).  Returns the maximum
-    overlap count and the set of maximal closed intervals on which it is
-    attained.  The depth at a left end x is the number of left keys <= x
-    less the number of right keys < x (so touching intervals overlap): on
-    the sorted left keys, its 1-based rank less one ``bisect_left`` into the
-    sorted right keys; the last of equal left keys counts them all.  Depth
-    rises only at a left end, so a run of maximum depth opens at one and
-    closes at the first right key at or after it, where the depth falls.
+    ``intervals`` are the non-empty approval sets, and ``lo_keys[i]`` and
+    ``hi_keys[i]`` the exact integer order keys of voter i's ends
+    (``Society._spans``), None for a voter approving nothing.  Returns the
+    maximum overlap count and the set of maximal closed intervals on which
+    it is attained.  The depth at a left end x is the number of left keys
+    <= x less the number of right keys < x (so touching intervals overlap):
+    on the sorted left keys, its 1-based rank less one ``bisect_left`` into
+    the sorted right keys; the last of equal left keys counts them all.
+    Depth rises only at a left end, so a run of maximum depth opens at one
+    and closes at the first right key at or after it, where the depth falls.
+    One pass keeps the best depth so far and its runs, not a count per voter.
 
     Sorting and counting run on the keys, plain ints; only the witnesses'
     endpoints are mapped back to their coordinates.
@@ -115,14 +117,18 @@ def _sweep(intervals: list[Interval], lo_keys, hi_keys) -> tuple[int, tuple[Inte
     if not intervals:
         return 0, ()
 
-    los, his = sorted(lo_keys), sorted(hi_keys)
-    below = [bisect_left(his, x) for x in los]
-    best = max(rank - j for rank, j in enumerate(below, 1))
-    runs = [(x, his[j]) for rank, (x, j) in enumerate(zip(los, below), 1) if rank - j == best]
+    los, his = (sorted(key for key in keys if key is not None) for keys in (lo_keys, hi_keys))
+    best, runs = 0, []
+    for rank, x in enumerate(los, 1):
+        depth = rank - bisect_left(his, x)
+        if depth >= best:
+            if depth > best:
+                best, runs = depth, []
+            runs.append((x, his[rank - depth]))
 
     opens, closes = (set(ends) for ends in zip(*runs))
-    lo_of = {key: iv.lo for iv, key in zip(intervals, lo_keys) if key in opens}
-    hi_of = {key: iv.hi for iv, key in zip(intervals, hi_keys) if key in closes}
+    lo_of = {key: iv.lo for iv, key in zip(intervals, (x for x in lo_keys if x is not None)) if key in opens}
+    hi_of = {key: iv.hi for iv, key in zip(intervals, (y for y in hi_keys if y is not None)) if key in closes}
     return best, tuple(Interval(lo_of[lo], hi_of[hi]) for lo, hi in runs)
 
 
@@ -151,8 +157,8 @@ def _box_agreement(society: Society) -> AgreementReport:
 def agreement(society: Society) -> AgreementReport:
     """Compute the agreement number, witnesses and proportion of a society.
 
-    A line or a 1-box takes the sweep, on the intervals or the boxes' only
-    sides; a 1-box reports each maximal run's one lower end as a grid point.
+    A line or a 1-box takes the sweep, on the span view as it stands; a
+    1-box reports each maximal run's one lower end as a grid point.
     """
     require_valid(society)
     spectrum = society.spectrum
@@ -174,14 +180,10 @@ def agreement(society: Society) -> AgreementReport:
     if spectrum.dimension >= 2:
         return _box_agreement(society)
 
-    lo_keys, hi_keys = society._spans
     intervals = [v.approval for v in society.voters if v.approval is not None]
     if isinstance(spectrum, BoxSpectrum):
         intervals = [box.sides[0] for box in intervals]
-    if len(intervals) < society.n:
-        lo_keys = [key for key in lo_keys if key is not None]
-        hi_keys = [key for key in hi_keys if key is not None]
-    best, witnesses = _sweep(intervals, lo_keys, hi_keys)
+    best, witnesses = _sweep(intervals, *society._spans)
     if isinstance(spectrum, BoxSpectrum):
         witnesses = tuple((run.lo,) for run in witnesses)
     return AgreementReport(best, society.n, witnesses)

@@ -131,6 +131,16 @@ class RandomConfig(Frozen):
             raise ValueError("empty_percent out of range")
 
 
+def _below(getrandbits, width: int) -> int:
+    """``Random.randrange(width)`` for an int width >= 1 (TypeError for any
+    other type), by its rejection loop on ``getrandbits``: the same draws."""
+    k = int.bit_length(width)
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return r
+
+
 def random_society(kind: str, n: int, seed: int, config: RandomConfig = RandomConfig()) -> Society:
     """Seeded random society of the given spectrum kind.
 
@@ -160,17 +170,17 @@ def random_society(kind: str, n: int, seed: int, config: RandomConfig = RandomCo
         spectrum = BoxSpectrum(config.dimension)
 
     # The draws go straight into Interval: they are ints, as as_coord would give them.
-    randint, randrange, empty = rng.randint, rng.randrange, config.empty_percent
-    lo_min, lo_max, length_min, length_max = config.coord_min, config.coord_max, config.min_length, config.max_length
+    bits, empty, lo_min, length_min = rng.getrandbits, config.empty_percent, config.coord_min, config.min_length
+    lo_width, length_width = config.coord_max - lo_min + 1, config.max_length - length_min + 1
 
     def draw() -> Interval:
-        lo = randint(lo_min, lo_max)
-        return Interval(lo, lo + randint(length_min, length_max))
+        lo = lo_min + _below(bits, lo_width)
+        return Interval(lo, lo + length_min + _below(bits, length_width))
 
     voters = []
     for i in range(n):
         vid = f"v{i + 1}"
-        if empty and randrange(100) < empty:
+        if empty and _below(bits, 100) < empty:
             voters.append(Voter(vid, None))
         elif kind == "box":
             voters.append(Voter(vid, Box(tuple(draw() for _ in range(config.dimension)))))
@@ -189,11 +199,11 @@ def random_graph(num_vertices: int, edge_percent: int, seed: int) -> Graph:
         raise ValueError("need at least one vertex")
     if not (0 <= edge_percent <= 100):
         raise ValueError("edge_percent out of range")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     vertices = tuple(f"v{i + 1}" for i in range(num_vertices))
     edges = set()
     for i in range(num_vertices):
         for j in range(i + 1, num_vertices):
-            if rng.randrange(100) < edge_percent:
+            if _below(bits, 100) < edge_percent:
                 edges.add((vertices[i], vertices[j]))
     return Graph(vertices, frozenset(edges))

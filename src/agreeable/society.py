@@ -32,7 +32,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property, reduce
 from json.encoder import encode_basestring_ascii  # json.dumps's escaper, in C
-from typing import IO, Iterator, Union
+from typing import IO, Iterable, Iterator, Union
 
 from ._frozen import Frozen
 from .errors import _require_box_caps
@@ -338,6 +338,8 @@ def validate(society: Society) -> list[str]:
 
     Violations are data, not failures: an empty list means the society is
     well formed.  Each message names the offending voter or spectrum rule.
+    Only a str id equal to its sorted neighbour, or an id that is not a str
+    (1 == True), can repeat: only those enter the set of ids seen.
     """
     violations: list[str] = []
     spec = society.spectrum
@@ -355,16 +357,20 @@ def validate(society: Society) -> list[str]:
     if society.n < 1:
         violations.append("society has no voters")
 
-    seen: set[str] = set()
+    ids = sorted(v.id for v in society.voters if type(v.id) is str)
+    repeats = {x for x, y in itertools.pairwise(ids) if x == y}
+    repeats.update(v.id for v in society.voters if type(v.id) is not str)
+    seen, line = set(), isinstance(spec, (LineSpectrum, CandidateSpectrum))
     for v in society.voters:
-        if v.id in seen:
-            violations.append(f"voter {v.id}: duplicate id")
-        seen.add(v.id)
+        if v.id in repeats:
+            if v.id in seen:
+                violations.append(f"voter {v.id}: duplicate id")
+            seen.add(v.id)
 
         a = v.approval
         if a is None:
             continue
-        if isinstance(spec, (LineSpectrum, CandidateSpectrum)):
+        if line:
             if not isinstance(a, Interval):
                 violations.append(f"voter {v.id}: expected interval approval")
             elif a.lo > a.hi:
@@ -392,26 +398,28 @@ def require_valid(society: Society) -> None:
         raise ValueError("invalid society: " + "; ".join(violations))
 
 
-def _order_keys(values: list[Coord | None]) -> list[int | None]:
+def _order_keys(values: Iterable[Coord | None], q_max: int = 0) -> list[int | None]:
     """Exact integer order keys: ``keys[i] < keys[j]`` iff ``values[i] < values[j]``.
 
-    Let b be the largest denominator bit length among ``values`` and
-    s = 2b + 1; the key of x = p/q is floor(x * 2**s) = (p << s) // q.  Two
-    distinct values differ by at least 1/(q q') > 2**-2b, so their scaled
-    values differ by more than 2 and their floors keep their order: the map
-    is strictly monotone, hence injective, and equal values get equal keys.
-    A None value (an empty approval set) keeps None as its key.
+    Let b be the bit length of ``q_max``, the largest denominator of a set
+    holding ``values`` (their own, read first, when 0) and s = 2b + 1; the
+    key of x = p/q is floor(x * 2**s) = (p << s) // q.  Two distinct values
+    differ by at least 1/(q q') > 2**-2b, so their scaled values differ by
+    more than 2 and their floors keep their order: the map is strictly
+    monotone, hence injective, and equal values get equal keys.  A None
+    value (an empty approval set) keeps None as its key.
     """
-    shift = 2 * max((x.denominator for x in values if x is not None), default=1).bit_length() + 1
+    shift = 2 * (q_max or max((x.denominator for x in values if x is not None), default=1)).bit_length() + 1
     return [None if x is None else (x.numerator << shift) // x.denominator for x in values]
 
 
 def _key_spans(sides: list[Interval | None]) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
-    """The :func:`_order_keys` of the ends of each interval, as two parallel
-    tuples ``(lo, hi)``; None in both for None."""
-    ends = [None if iv is None else iv.lo for iv in sides] + [None if iv is None else iv.hi for iv in sides]
-    keys = tuple(_order_keys(ends))
-    return keys[: len(sides)], keys[len(sides) :]
+    """The :func:`_order_keys` of the ends of each interval on one scale, as
+    two parallel tuples ``(lo, hi)``; None in both for None."""
+    q_max = max(max((iv.lo.denominator for iv in sides if iv is not None), default=1),
+                max((iv.hi.denominator for iv in sides if iv is not None), default=1))
+    lo, hi = (None if iv is None else iv.lo for iv in sides), (None if iv is None else iv.hi for iv in sides)
+    return tuple(_order_keys(lo, q_max)), tuple(_order_keys(hi, q_max))
 
 
 def _candidate_range(interval: Interval | None, candidates: tuple[Coord, ...]) -> tuple[int, int] | None:

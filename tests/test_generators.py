@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from agreeable import (
@@ -15,6 +17,7 @@ from agreeable import (
     random_society,
     validate,
 )
+from agreeable.generators import _below
 from agreeable.oracles import every_m_subset_has_k_clique
 from agreeable.graphs import agreement_graph
 
@@ -113,3 +116,19 @@ def test_random_graph_deterministic():
     assert random_graph(8, 0, 5).edges == frozenset()
     full = random_graph(5, 100, 5)
     assert len(full.edges) == 10
+
+
+@pytest.mark.parametrize("width", sorted({1, 2, 3} | {2**k + d for k in range(1, 21) for d in (-1, 0, 1)}))
+def test_below_draws_what_randrange_and_randint_draw(width):
+    ours, theirs = random.Random(width), random.Random(width)
+    for _ in range(10):
+        assert _below(ours.getrandbits, width) == theirs.randrange(width)
+        assert -3 + _below(ours.getrandbits, width) == theirs.randint(-3, width - 4)
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("field", ["coord_min", "coord_max", "min_length", "max_length"])
+def test_random_society_refuses_a_range_that_is_not_int(field):
+    config = RandomConfig(**{field: float(getattr(RandomConfig(), field))})
+    with pytest.raises(TypeError):
+        random_society("line", 3, 1, config)

@@ -3,14 +3,16 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from agreeable import (
+    Box,
     BoxSpectrum,
     CandidateSpectrum,
     Interval,
     LINE,
+    LineSpectrum,
     Society,
     SocietyFormatError,
     Voter,
@@ -63,6 +65,78 @@ def test_validate_reports_duplicate_ids_and_shape_mismatch():
     problems = validate(society)
     assert any("duplicate id" in p for p in problems)
     assert any("expected interval" in p for p in problems)
+
+
+def _validate_by_set(society: Society) -> list[str]:
+    """``validate`` as it was written before repeated ids were found by
+    sorting: every id goes into one set.  The reference for the test below."""
+    violations: list[str] = []
+    spec = society.spectrum
+    if isinstance(spec, CandidateSpectrum):
+        cs = spec.candidates
+        if not cs:
+            violations.append("spectrum: candidate list is empty")
+        if any(cs[i] >= cs[i + 1] for i in range(len(cs) - 1)):
+            violations.append("spectrum: candidates not strictly increasing")
+    elif isinstance(spec, BoxSpectrum):
+        if spec.dimension < 1:
+            violations.append("spectrum: box dimension must be >= 1")
+    if society.n < 1:
+        violations.append("society has no voters")
+    seen = set()
+    for v in society.voters:
+        if v.id in seen:
+            violations.append(f"voter {v.id}: duplicate id")
+        seen.add(v.id)
+        a = v.approval
+        if a is None:
+            continue
+        if isinstance(spec, (LineSpectrum, CandidateSpectrum)):
+            if not isinstance(a, Interval):
+                violations.append(f"voter {v.id}: expected interval approval")
+            elif a.lo > a.hi:
+                violations.append(f"voter {v.id}: lo > hi")
+        else:
+            if not isinstance(a, Box):
+                violations.append(f"voter {v.id}: expected box approval")
+            elif a.dimension != spec.dimension:
+                violations.append(f"voter {v.id}: dimension mismatch")
+            else:
+                for axis, side in enumerate(a.sides):
+                    if side.lo > side.hi:
+                        violations.append(f"voter {v.id}: lo > hi on axis {axis}")
+    return violations
+
+
+# Strings that repeat, and ids that are not strings: 1 == True == 1.0,
+# 0 == False, and tuples, which do not sort against strings or each other.
+REPEATED_IDS = st.sampled_from(("a", "a", "b", "ab", "", "1", 1, True, 1.0, 0, False, None, ("a", 1), (1,), (True,)))
+
+
+@st.composite
+def societies_with_repeated_ids(draw):
+    """Line, slate and box societies whose ids come from a small pool, some
+    approvals reversed (lo > hi) or of the other shape, so duplicate-id
+    findings interleave with the others."""
+    society = draw(st.one_of(line_societies(), box_societies(), pooled_societies()))
+    voters = []
+    for v in society.voters:
+        a = v.approval
+        change = draw(st.sampled_from(("keep", "keep", "reverse", "reshape")))
+        if a is not None and change == "reverse":
+            side = a if isinstance(a, Interval) else a.sides[0]
+            side = Interval(side.hi, side.lo)
+            a = side if isinstance(a, Interval) else Box((side, *a.sides[1:]))
+        elif a is not None and change == "reshape":
+            a = Box((a,)) if isinstance(a, Interval) else a.sides[0]
+        voters.append(Voter(draw(REPEATED_IDS), a))
+    return Society(society.spectrum, tuple(voters))
+
+
+@given(societies_with_repeated_ids())
+@example(linear_society([(0, 1), (1, 2), (2, 3), (3, 4)], ids=[1, True, "1", 1.0]))
+def test_validate_findings_equal_the_set_loop(society):
+    assert validate(society) == _validate_by_set(society)
 
 
 def test_validate_reports_unsorted_candidates():
